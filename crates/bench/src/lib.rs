@@ -761,15 +761,17 @@ pub mod timing {
     }
 
     /// Wall-clock **mixed-load** measurement of the sweep service: one
-    /// long-running big sweep plus a stream of small sweeps, measured once
-    /// under the serial executor and once under the shared cost-aware
-    /// scheduler (`sysscale_dist::ExecutorMode`). The record carries the
-    /// small-sweep latency percentiles — the number the shared scheduler
-    /// exists to improve — so the history file holds the serial-vs-shared
-    /// delta as a trajectory. One record per mode.
+    /// long-running big sweep, measured once alone (`"solo"`) and once with
+    /// a stream of small sweeps riding alongside it under the cost-aware
+    /// scheduler (`"shared"`). The solo big-sweep latency is what a
+    /// first-come-first-served queue would make the first small sweep
+    /// wait; the shared record carries the small-sweep latency
+    /// percentiles — the number the scheduler exists to improve — so the
+    /// history file holds the solo-vs-shared delta as a trajectory.
     #[derive(Debug, Clone, PartialEq)]
     pub struct MixedPerf {
-        /// Executor mode: `"serial"` or `"shared"`.
+        /// Run shape: `"solo"` (big sweep alone) or `"shared"` (big sweep
+        /// plus the small stream).
         pub mode: &'static str,
         /// Fold workers the service ran.
         pub workers: usize,

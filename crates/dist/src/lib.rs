@@ -21,10 +21,11 @@
 //!   dispatcher/worker binary drift.
 //! - [`proto`] / [`dispatcher`] / [`worker`]: the lease protocol. The
 //!   dispatcher cuts each virtual worker slot's shard (the same
-//!   [`sysscale::SweepSharding`] assignment the in-process fold core uses)
-//!   into ascending **leases**, streams them to one worker process per
-//!   slot (stdin/stdout pipes, or TCP behind the same
-//!   [`proto::WorkerTransport`] trait), folds the streamed-back results
+//!   [`sysscale::SweepSet::slot_indices`] partition the in-process fold
+//!   core and the sweep service use) into ascending cost-sized **leases**
+//!   ([`sysscale::types::exec::cost_quantile_chunks`]), streams them to
+//!   one worker process per slot (stdin/stdout pipes, or TCP behind the
+//!   same [`proto::WorkerTransport`] trait), folds the streamed-back results
 //!   per lease, and merges lease accumulators in plan order — the exact
 //!   partition the in-process merge uses. A lease only retires on its
 //!   `LeaseDone` frame; when a worker dies mid-lease the partial
@@ -87,9 +88,8 @@ pub use recipe::{
     sweep_from_sets, GovernorSpec, MatrixRecipe, PlatformSpec, SweepRecipe, WorkloadsSpec,
 };
 pub use serve::{
-    assess_stages, degradation_point, BusyShed, ExecutorMode, LoadAssessment, RequestSample,
-    ServeClient, ServeError, ServeEvent, ServeOptions, ServeStats, StressMetrics, SweepOutcome,
-    SweepService,
+    assess_stages, degradation_point, BusyShed, LoadAssessment, RequestSample, ServeClient,
+    ServeError, ServeEvent, ServeOptions, ServeStats, StressMetrics, SweepOutcome, SweepService,
 };
 pub use wire::{Dec, Enc, WireError};
 pub use worker::{worker_main, FAULT_ENV, HANG_ENV, POISON_CRASH_ENV, POISON_FLAT_ENV};

@@ -6,7 +6,7 @@
 //!
 //! | type | message       | direction          | payload |
 //! |------|---------------|--------------------|---------|
-//! | 1    | `Job`         | dispatcher → worker | magic, version, worker slot, threads, batch cells, quarantine flag, recipe blob |
+//! | 1    | `Job`         | dispatcher → worker | magic, version, worker slot, batch cells, quarantine flag, recipe blob |
 //! | 2    | `Lease`       | dispatcher → worker | lease id, flat-index plan (stepped or explicit) |
 //! | 3    | `Result`      | worker → dispatcher | lease id, flat index, encoded [`RunRecord`] |
 //! | 4    | `LeaseDone`   | worker → dispatcher | lease id, cell count |
@@ -38,7 +38,9 @@ pub const PROTO_MAGIC: u32 = 0x5353_4450;
 /// ([`crate::wire`]), and `Job` carries the quarantine flag (a worker in
 /// quarantine mode isolates a failing cell per-cell and keeps going instead
 /// of exiting on the first `WorkerError`).
-pub const PROTO_VERSION: u16 = 3;
+/// v4: `Job` drops the in-worker thread count (a worker folds every lease
+/// on one thread; processes replace threads rather than multiplying them).
+pub const PROTO_VERSION: u16 = 4;
 
 pub(crate) const FT_JOB: u8 = 1;
 pub(crate) const FT_LEASE: u8 = 2;
@@ -173,14 +175,12 @@ impl LeaseIndices {
 /// One protocol message.
 #[derive(Debug)]
 pub enum Message {
-    /// Opens a worker's session: which virtual worker slot it serves, how
-    /// many threads to fold each lease with, the sub-batch size between
-    /// heartbeats, and the encoded [`crate::recipe::SweepRecipe`].
+    /// Opens a worker's session: which virtual worker slot it serves, the
+    /// sub-batch size between heartbeats, and the encoded
+    /// [`crate::recipe::SweepRecipe`].
     Job {
         /// The virtual worker slot this process serves.
         worker_slot: u32,
-        /// In-process threads the worker folds each lease with.
-        threads: u32,
         /// Cells per execution sub-batch (heartbeat cadence).
         batch_cells: u32,
         /// Quarantine mode: on a failing cell, re-run the batch cell by
@@ -246,7 +246,6 @@ impl Message {
         let frame_type = match self {
             Message::Job {
                 worker_slot,
-                threads,
                 batch_cells,
                 quarantine,
                 recipe,
@@ -254,7 +253,6 @@ impl Message {
                 enc.put_u32(PROTO_MAGIC);
                 enc.put_u16(PROTO_VERSION);
                 enc.put_u32(*worker_slot);
-                enc.put_u32(*threads);
                 enc.put_u32(*batch_cells);
                 enc.put_bool(*quarantine);
                 enc.put_bytes(recipe);
@@ -327,7 +325,6 @@ impl Message {
                 }
                 Message::Job {
                     worker_slot: dec.u32()?,
-                    threads: dec.u32()?,
                     batch_cells: dec.u32()?,
                     quarantine: dec.bool()?,
                     recipe: dec.bytes()?.to_vec(),
@@ -456,7 +453,6 @@ mod tests {
         let mut stream = Vec::new();
         Message::Job {
             worker_slot: 3,
-            threads: 2,
             batch_cells: 16,
             quarantine: true,
             recipe: vec![1, 2, 3],
@@ -496,14 +492,13 @@ mod tests {
         match Message::read_from(&mut cursor).unwrap().unwrap() {
             Message::Job {
                 worker_slot,
-                threads,
                 batch_cells,
                 quarantine,
                 recipe,
             } => {
                 assert_eq!(
-                    (worker_slot, threads, batch_cells, quarantine, recipe),
-                    (3, 2, 16, true, vec![1, 2, 3])
+                    (worker_slot, batch_cells, quarantine, recipe),
+                    (3, 16, true, vec![1, 2, 3])
                 );
             }
             other => panic!("expected Job, got {other:?}"),
@@ -561,7 +556,7 @@ mod tests {
         enc.put_u32(PROTO_MAGIC);
         enc.put_u16(PROTO_VERSION - 1);
         enc.put_u32(0); // worker_slot
-        enc.put_u32(1); // threads
+        enc.put_u32(1); // threads (v3 only)
         enc.put_u32(1); // batch_cells
         enc.put_bytes(&[]); // recipe
         let mut stream = Vec::new();
@@ -576,7 +571,6 @@ mod tests {
         let mut stream = Vec::new();
         Message::Job {
             worker_slot: 0,
-            threads: 1,
             batch_cells: 1,
             quarantine: false,
             recipe: Vec::new(),

@@ -11,7 +11,7 @@
 
 use std::io::{BufReader, BufWriter, Read, Write};
 
-use sysscale::SessionPool;
+use sysscale::{RunRecord, SessionPool};
 
 use crate::proto::Message;
 use crate::recipe::{sweep_from_sets, SweepRecipe};
@@ -92,22 +92,15 @@ pub fn worker_main(rx: impl Read, tx: impl Write) -> Result<(), String> {
         .ok()
         .and_then(|v| v.trim().parse().ok());
     let poison_crash = std::env::var(POISON_CRASH_ENV).is_ok_and(|v| !v.trim().is_empty());
-    let mut results_sent = 0u64;
 
     // The session opens with exactly one Job frame.
-    let (threads, batch_cells, quarantine, recipe_bytes) = match Message::read_from(&mut rx) {
+    let (batch_cells, quarantine, recipe_bytes) = match Message::read_from(&mut rx) {
         Ok(Some(Message::Job {
-            threads,
             batch_cells,
             quarantine,
             recipe,
             ..
-        })) => (
-            threads.max(1) as usize,
-            batch_cells.max(1) as usize,
-            quarantine,
-            recipe,
-        ),
+        })) => (batch_cells.max(1) as usize, quarantine, recipe),
         Ok(Some(other)) => return Err(format!("expected Job frame, got {other:?}")),
         Ok(None) => return Err("stream closed before Job frame".to_string()),
         Err(error) => return Err(format!("reading Job frame: {error}")),
@@ -120,6 +113,42 @@ pub fn worker_main(rx: impl Read, tx: impl Write) -> Result<(), String> {
     let sweep = sweep_from_sets(&sets);
     let total = sweep.cells();
     let mut pool = SessionPool::new();
+    // Runs ascending cells on one thread — processes replace threads
+    // rather than multiplying them — failing a poisoned cell on demand.
+    let execute =
+        |pool: &mut SessionPool, cells: &[usize]| match poison_flat.filter(|p| cells.contains(p)) {
+            Some(p) => Err(sysscale::CellError {
+                flat: p,
+                error: poison_error(p),
+            }),
+            None => sweep.run_flat_indices(pool, 1, cells),
+        };
+    // Streams finished cells as `Result` frames — the one path every
+    // result takes, so the `FAULT_ENV` hang/die hook fires on the n-th
+    // frame whichever branch produced it.
+    let mut results_sent = 0u64;
+    let mut stream_results = |tx: &mut BufWriter<_>,
+                              lease_id: u64,
+                              pairs: Vec<(usize, RunRecord)>|
+     -> Result<(), String> {
+        for (flat, record) in pairs {
+            Message::Result {
+                lease_id,
+                flat: flat as u64,
+                record: Box::new(record),
+            }
+            .write_to(tx)
+            .map_err(|e| format!("streaming result: {e}"))?;
+            results_sent += 1;
+            if fault_after.is_some_and(|n| results_sent >= n) {
+                if fault_hangs {
+                    hang_forever();
+                }
+                die_hard();
+            }
+        }
+        Ok(())
+    };
 
     loop {
         match Message::read_from(&mut rx) {
@@ -147,39 +176,8 @@ pub fn worker_main(rx: impl Read, tx: impl Write) -> Result<(), String> {
                     if poison_crash && poison_flat.is_some_and(|p| batch.contains(&p)) {
                         die_hard();
                     }
-                    let outcome = match poison_flat.filter(|p| batch.contains(p)) {
-                        Some(p) => Err(sysscale::CellError {
-                            flat: p,
-                            error: poison_error(p),
-                        }),
-                        None => sweep.run_flat_indices(&mut pool, threads, batch),
-                    };
-                    match outcome {
-                        Ok(pairs) => {
-                            for (flat, record) in pairs {
-                                Message::Result {
-                                    lease_id,
-                                    flat: flat as u64,
-                                    record: Box::new(record),
-                                }
-                                .write_to(&mut tx)
-                                .map_err(|e| format!("streaming result: {e}"))?;
-                                results_sent += 1;
-                                if fault_after.is_some_and(|n| results_sent >= n) {
-                                    if fault_hangs {
-                                        hang_forever();
-                                    }
-                                    die_hard();
-                                }
-                            }
-                            done_cells += batch.len() as u64;
-                            Message::Heartbeat {
-                                lease_id,
-                                done_cells,
-                            }
-                            .write_to(&mut tx)
-                            .map_err(|e| format!("streaming heartbeat: {e}"))?;
-                        }
+                    match execute(&mut pool, batch) {
+                        Ok(pairs) => stream_results(&mut tx, lease_id, pairs)?,
                         Err(_) if quarantine => {
                             // Quarantine mode: isolate the failure by
                             // re-running the batch cell by cell, ascending.
@@ -188,50 +186,17 @@ pub fn worker_main(rx: impl Read, tx: impl Write) -> Result<(), String> {
                             // occupy); healthy cells still stream, and the
                             // worker keeps going.
                             for &flat in batch {
-                                let single = match poison_flat.filter(|&p| p == flat) {
-                                    Some(p) => Err(sysscale::CellError {
-                                        flat: p,
-                                        error: poison_error(p),
-                                    }),
-                                    None => sweep.run_flat_indices(&mut pool, threads, &[flat]),
-                                };
-                                match single {
-                                    Ok(pairs) => {
-                                        for (flat, record) in pairs {
-                                            Message::Result {
-                                                lease_id,
-                                                flat: flat as u64,
-                                                record: Box::new(record),
-                                            }
-                                            .write_to(&mut tx)
-                                            .map_err(|e| format!("streaming result: {e}"))?;
-                                            results_sent += 1;
-                                            if fault_after.is_some_and(|n| results_sent >= n) {
-                                                if fault_hangs {
-                                                    hang_forever();
-                                                }
-                                                die_hard();
-                                            }
-                                        }
+                                match execute(&mut pool, &[flat]) {
+                                    Ok(pairs) => stream_results(&mut tx, lease_id, pairs)?,
+                                    Err(cell_error) => Message::WorkerError {
+                                        lease_id,
+                                        flat: cell_error.flat as u64,
+                                        error: cell_error.error,
                                     }
-                                    Err(cell_error) => {
-                                        Message::WorkerError {
-                                            lease_id,
-                                            flat: cell_error.flat as u64,
-                                            error: cell_error.error.clone(),
-                                        }
-                                        .write_to(&mut tx)
-                                        .map_err(|e| format!("streaming error: {e}"))?;
-                                    }
+                                    .write_to(&mut tx)
+                                    .map_err(|e| format!("streaming error: {e}"))?,
                                 }
                             }
-                            done_cells += batch.len() as u64;
-                            Message::Heartbeat {
-                                lease_id,
-                                done_cells,
-                            }
-                            .write_to(&mut tx)
-                            .map_err(|e| format!("streaming heartbeat: {e}"))?;
                         }
                         Err(cell_error) => {
                             Message::WorkerError {
@@ -247,6 +212,13 @@ pub fn worker_main(rx: impl Read, tx: impl Write) -> Result<(), String> {
                             ));
                         }
                     }
+                    done_cells += batch.len() as u64;
+                    Message::Heartbeat {
+                        lease_id,
+                        done_cells,
+                    }
+                    .write_to(&mut tx)
+                    .map_err(|e| format!("streaming heartbeat: {e}"))?;
                 }
                 Message::LeaseDone {
                     lease_id,
@@ -296,7 +268,6 @@ mod tests {
         let mut input = Vec::new();
         Message::Job {
             worker_slot: 0,
-            threads: 1,
             batch_cells: 2,
             quarantine: false,
             recipe: recipe.encode(),
@@ -342,7 +313,6 @@ mod tests {
         let mut input = Vec::new();
         Message::Job {
             worker_slot: 0,
-            threads: 1,
             batch_cells: 4,
             quarantine: false,
             recipe: recipe.encode(),

@@ -29,7 +29,6 @@ fn corpus_stream() -> Vec<u8> {
     for message in [
         Message::Job {
             worker_slot: 3,
-            threads: 2,
             batch_cells: 8,
             quarantine: true,
             recipe: vec![1, 2, 3, 4, 5, 6, 7, 8],

@@ -168,12 +168,12 @@ fn killed_worker_leases_replay_bit_identically() {
         after_results: 5,
         hang: false,
     };
-    let leases_per_worker = 4;
+    // The dispatcher cuts every slot into (at most) four leases.
+    let leases_per_slot = 4;
     let (got, stats) = run_distributed(
         &recipe,
         &DistOptions {
             fault: Some(fault),
-            leases_per_worker,
             ..options(4)
         },
     )
@@ -189,7 +189,7 @@ fn killed_worker_leases_replay_bit_identically() {
         "exactly one respawn replaces the sacrificed worker"
     );
     assert!(
-        (1..=leases_per_worker).contains(&stats.reissued_leases),
+        (1..=leases_per_slot).contains(&stats.reissued_leases),
         "only the dead slot's unfinished leases may be re-issued (got {})",
         stats.reissued_leases
     );

@@ -8,8 +8,10 @@
 //! pool stays bounded by the worker count (no per-request session growth).
 
 use sysscale::{CollectRuns, RunRecord, SessionPool};
+use sysscale_dist::serve::FT_SUBMIT;
+use sysscale_dist::wire::write_frame;
 use sysscale_dist::{
-    sweep_from_sets, ExecutorMode, GovernorSpec, MatrixRecipe, PlatformSpec, ServeClient,
+    duplex, sweep_from_sets, Enc, GovernorSpec, MatrixRecipe, PlatformSpec, ServeClient,
     ServeError, ServeEvent, ServeOptions, SweepRecipe, SweepService, WorkloadsSpec,
 };
 use sysscale_workloads::GeneratorConfig;
@@ -247,67 +249,100 @@ fn a_bad_recipe_fails_the_submission_not_the_connection() {
 }
 
 #[test]
-fn mixed_load_interleavings_stay_byte_identical_in_both_modes() {
+fn an_undecodable_recipe_fails_the_submission_and_records_its_sample() {
+    let service = SweepService::start(&ServeOptions {
+        workers: 1,
+        ..ServeOptions::default()
+    });
+    let (client_end, server_end) = duplex();
+    let (server_reader, server_writer) = server_end.split();
+    service.attach(Box::new(server_reader), Box::new(server_writer));
+    let (client_reader, mut client_writer) = client_end.split();
+
+    // A well-formed Submit header ("SVSW" magic, layout version 1) whose
+    // recipe bytes do not decode: the submission is addressable, so it
+    // must fail like an unbuildable recipe — not vanish from the metrics.
+    let mut enc = Enc::new();
+    enc.put_u32(0x5753_5653);
+    enc.put_u16(1);
+    enc.put_u64(7); // submit_id
+    enc.put_u64(0); // progress_every
+    enc.put_bytes(b"definitely not a sweep recipe");
+    write_frame(&mut client_writer, FT_SUBMIT, &enc.into_bytes()).expect("raw submit");
+
+    let mut client = ServeClient::new(Box::new(client_reader), Box::new(client_writer));
+    let outcomes = client.collect(&[7]).expect("collect");
+    assert!(
+        matches!(outcomes[&7].result(), Err(ServeError::Sweep(_))),
+        "an undecodable recipe must surface as a SweepError"
+    );
+    client.close();
+
+    let stats = service.shutdown();
+    let metrics = stats.metrics();
+    assert_eq!(stats.errors, 1);
+    assert_eq!(metrics.errors, stats.errors, "the failure must be sampled");
+    assert_eq!(metrics.requests, stats.submissions);
+    assert_eq!(stats.frames_rejected, 0, "the frame itself was well formed");
+}
+
+#[test]
+fn mixed_load_interleavings_stay_byte_identical_at_every_worker_count() {
     // The tentpole contract: one big sweep plus a handful of small ones,
     // submitted in randomized interleavings, and every submission's record
-    // stream is byte-identical to its solo in-process fold — in the shared
-    // cost-aware scheduler exactly as in the serial executor, at 1/2/4
-    // workers.
+    // stream under the cost-aware scheduler is byte-identical to its solo
+    // in-process fold, at 1/2/4 workers.
     let big = population_recipe(12);
     let smalls: Vec<SweepRecipe> = (0..3).map(|i| tiny_recipe(4.0 + i as f64 * 0.5)).collect();
     let big_expected = in_process(&big);
     let small_expected: Vec<Vec<(usize, RunRecord)>> = smalls.iter().map(in_process).collect();
 
-    for mode in [ExecutorMode::Serial, ExecutorMode::Shared] {
-        for workers in [1usize, 2, 4] {
-            let service = SweepService::start(&ServeOptions {
-                workers,
-                mode,
-                ..ServeOptions::default()
-            });
-            let mut big_client = service.connect();
-            let mut small_clients: Vec<ServeClient> =
-                smalls.iter().map(|_| service.connect()).collect();
+    for workers in [1usize, 2, 4] {
+        let service = SweepService::start(&ServeOptions {
+            workers,
+            ..ServeOptions::default()
+        });
+        let mut big_client = service.connect();
+        let mut small_clients: Vec<ServeClient> =
+            smalls.iter().map(|_| service.connect()).collect();
 
-            // Shuffle who submits when; slot 0 is the big sweep.
-            let seed = workers as u64 * 16 + u64::from(mode == ExecutorMode::Shared);
-            let mut order: Vec<usize> = (0..=smalls.len()).collect();
-            shuffle(&mut order, seed);
-            let mut big_id = 0;
-            let mut small_ids = vec![0u64; smalls.len()];
-            for &who in &order {
-                if who == 0 {
-                    big_id = big_client.submit(&big, 0).expect("submit big");
-                } else {
-                    small_ids[who - 1] = small_clients[who - 1]
-                        .submit(&smalls[who - 1], 0)
-                        .expect("submit small");
-                }
+        // Shuffle who submits when; slot 0 is the big sweep.
+        let mut order: Vec<usize> = (0..=smalls.len()).collect();
+        shuffle(&mut order, workers as u64 * 16 + 1);
+        let mut big_id = 0;
+        let mut small_ids = vec![0u64; smalls.len()];
+        for &who in &order {
+            if who == 0 {
+                big_id = big_client.submit(&big, 0).expect("submit big");
+            } else {
+                small_ids[who - 1] = small_clients[who - 1]
+                    .submit(&smalls[who - 1], 0)
+                    .expect("submit small");
             }
-
-            for (i, client) in small_clients.iter_mut().enumerate() {
-                let outcomes = client.collect(&[small_ids[i]]).expect("collect small");
-                assert_eq!(
-                    outcomes[&small_ids[i]].records, small_expected[i],
-                    "small {i} under {mode:?} at {workers} workers must match its solo fold"
-                );
-            }
-            let outcomes = big_client.collect(&[big_id]).expect("collect big");
-            assert_eq!(
-                outcomes[&big_id].records, big_expected,
-                "big sweep under {mode:?} at {workers} workers must match its solo fold"
-            );
-
-            big_client.close();
-            for client in small_clients {
-                client.close();
-            }
-            let stats = service.shutdown();
-            assert_eq!(stats.submissions, 1 + smalls.len() as u64);
-            assert_eq!(stats.errors, 0);
-            assert_eq!(stats.busy_shed, 0);
-            assert_eq!(stats.frames_rejected, 0);
         }
+
+        for (i, client) in small_clients.iter_mut().enumerate() {
+            let outcomes = client.collect(&[small_ids[i]]).expect("collect small");
+            assert_eq!(
+                outcomes[&small_ids[i]].records, small_expected[i],
+                "small {i} at {workers} workers must match its solo fold"
+            );
+        }
+        let outcomes = big_client.collect(&[big_id]).expect("collect big");
+        assert_eq!(
+            outcomes[&big_id].records, big_expected,
+            "big sweep at {workers} workers must match its solo fold"
+        );
+
+        big_client.close();
+        for client in small_clients {
+            client.close();
+        }
+        let stats = service.shutdown();
+        assert_eq!(stats.submissions, 1 + smalls.len() as u64);
+        assert_eq!(stats.errors, 0);
+        assert_eq!(stats.busy_shed, 0);
+        assert_eq!(stats.frames_rejected, 0);
     }
 }
 
@@ -316,7 +351,7 @@ fn small_sweeps_overtake_a_big_sweep_under_cost_fair_scheduling() {
     // Fairness: the two small sweeps' total cost is far below one worker's
     // share of the big sweep, so cost-fair interleaving must complete both
     // before the big sweep finishes — the whole point of the shared
-    // scheduler over the serial executor.
+    // scheduler over a first-come-first-served queue.
     let service = SweepService::start(&ServeOptions {
         workers: 2,
         ..ServeOptions::default()
@@ -357,7 +392,6 @@ fn admission_bound_sheds_busy_as_a_typed_retryable_error() {
     let service = SweepService::start(&ServeOptions {
         workers: 1,
         max_pending: 1,
-        ..ServeOptions::default()
     });
     let mut client = service.connect();
     let big = population_recipe(10);

@@ -1626,6 +1626,15 @@ mod tests {
         // The expensive item's chunk carries few cheap neighbours.
         let hot = plan.iter().find(|c| c.contains(&3)).unwrap();
         assert!(hot.len() <= 4, "hot chunk dragged {} items", hot.len());
+        // A dominant first item (~90% of the cost) gets a chunk of its own,
+        // where index quantiles would pair it with cheap followers.
+        let plan = cost_quantile_chunks(&items, |i| if i == 0 { 90 } else { 1 }, 4);
+        assert_eq!(plan.len(), 4);
+        assert_eq!(plan[0], vec![0], "the dominant item gets its own chunk");
+        assert_eq!(plan.iter().flatten().copied().collect::<Vec<_>>(), items);
+        // Uniform costs degrade to near-equal counts, like index quantiles.
+        let plan = cost_quantile_chunks(&items, |_| 7, 4);
+        assert!(plan.iter().all(|c| (2..=3).contains(&c.len())), "{plan:?}");
         // More chunks than items clamps; empty input yields no chunks.
         assert_eq!(cost_quantile_chunks(&[5, 9], |_| 1, 4).len(), 2);
         assert!(cost_quantile_chunks(&[], |_| 1, 4).is_empty());
