@@ -820,93 +820,6 @@ pub mod timing {
         }
     }
 
-    /// Wall-clock **load-balance** measurement of one sweep execution,
-    /// emitted as a machine-readable JSON line (`"kind":"sched_perf"`).
-    /// Where [`SweepPerf`] tracks aggregate throughput, this tracks how
-    /// evenly the scheduler spread the work: per-worker busy time feeds an
-    /// imbalance ratio (worst worker ÷ ideal equal share) and a worst-worker
-    /// share (worst worker ÷ total busy time). The `sched` bench emits one
-    /// record per sharding mode on a pathologically skewed sweep, so the
-    /// count-based vs cost-based scheduling delta lands in the history file
-    /// as a trajectory.
-    #[derive(Debug, Clone, PartialEq)]
-    pub struct SchedPerf {
-        /// Total scenario cells across the sweep.
-        pub cells: usize,
-        /// Worker-thread count the sweep ran at.
-        pub threads: usize,
-        /// Wall-clock time of the whole execution.
-        pub wall: Duration,
-        /// Per-worker busy time (time spent executing cells), one entry per
-        /// worker that folded at least one cell.
-        pub worker_busy: Vec<Duration>,
-    }
-
-    impl SchedPerf {
-        /// Cells executed per wall-clock second.
-        #[must_use]
-        pub fn cells_per_sec(&self) -> f64 {
-            let secs = self.wall.as_secs_f64();
-            if secs > 0.0 {
-                self.cells as f64 / secs
-            } else {
-                0.0
-            }
-        }
-
-        /// The busiest worker's share of total busy time, in `[1/workers,
-        /// 1]`: `1/workers` is a perfect spread, `1` means one worker did
-        /// everything.
-        #[must_use]
-        pub fn worst_worker_share(&self) -> f64 {
-            let total: f64 = self.worker_busy.iter().map(Duration::as_secs_f64).sum();
-            let worst = self
-                .worker_busy
-                .iter()
-                .map(Duration::as_secs_f64)
-                .fold(0.0, f64::max);
-            if total > 0.0 {
-                worst / total
-            } else {
-                0.0
-            }
-        }
-
-        /// Busiest worker ÷ ideal equal share (`total / workers`), ≥ 1: the
-        /// factor by which the critical-path worker exceeds a perfectly
-        /// balanced schedule. `1.0` is optimal.
-        #[must_use]
-        pub fn imbalance_ratio(&self) -> f64 {
-            if self.worker_busy.is_empty() {
-                return 0.0;
-            }
-            self.worst_worker_share() * self.worker_busy.len() as f64
-        }
-
-        /// Prints the canonical one-line JSON record:
-        /// `{"kind":"sched_perf","bench":…,"sweep":…,"mode":…,"cells":…,
-        /// "threads":…,"wall_clock_ms":…,"cells_per_sec":…,
-        /// "worst_worker_share":…,"imbalance_ratio":…}` — and appends it to
-        /// the [`HISTORY_ENV`] file when configured. `mode` names the
-        /// sharding strategy under measurement.
-        pub fn emit(&self, bench: &str, sweep: &str, mode: &str) {
-            let line = format!(
-                "{{\"kind\":\"sched_perf\",\"bench\":\"{bench}\",\"sweep\":\"{sweep}\",\
-                 \"mode\":\"{mode}\",\"cells\":{},\"threads\":{},\"wall_clock_ms\":{:.3},\
-                 \"cells_per_sec\":{:.3},\"worst_worker_share\":{:.4},\
-                 \"imbalance_ratio\":{:.4}}}",
-                self.cells,
-                self.threads,
-                self.wall.as_secs_f64() * 1e3,
-                self.cells_per_sec(),
-                self.worst_worker_share(),
-                self.imbalance_ratio(),
-            );
-            println!("{line}");
-            append_history(&line);
-        }
-    }
-
     /// Result of one measurement.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub struct Measurement {
@@ -1002,46 +915,6 @@ mod tests {
             threads: 1,
             wall: std::time::Duration::ZERO,
         };
-        assert_eq!(zero.cells_per_sec(), 0.0);
-    }
-
-    #[test]
-    fn sched_perf_balance_metrics_are_well_defined() {
-        use std::time::Duration;
-        // One worker does 7 of 10 seconds of busy time across 4 workers.
-        let perf = timing::SchedPerf {
-            cells: 200,
-            threads: 4,
-            wall: Duration::from_secs(8),
-            worker_busy: vec![
-                Duration::from_secs(7),
-                Duration::from_secs(1),
-                Duration::from_secs(1),
-                Duration::from_secs(1),
-            ],
-        };
-        assert!((perf.worst_worker_share() - 0.7).abs() < 1e-12);
-        assert!((perf.imbalance_ratio() - 2.8).abs() < 1e-12);
-        assert!(perf.cells_per_sec() > 0.0);
-
-        // A perfect spread has share 1/workers and ratio 1.
-        let even = timing::SchedPerf {
-            cells: 8,
-            threads: 2,
-            wall: Duration::from_secs(1),
-            worker_busy: vec![Duration::from_secs(1); 2],
-        };
-        assert!((even.worst_worker_share() - 0.5).abs() < 1e-12);
-        assert!((even.imbalance_ratio() - 1.0).abs() < 1e-12);
-
-        let zero = timing::SchedPerf {
-            cells: 0,
-            threads: 1,
-            wall: Duration::ZERO,
-            worker_busy: Vec::new(),
-        };
-        assert_eq!(zero.worst_worker_share(), 0.0);
-        assert_eq!(zero.imbalance_ratio(), 0.0);
         assert_eq!(zero.cells_per_sec(), 0.0);
     }
 

@@ -76,7 +76,7 @@ use std::sync::Arc;
 use sysscale_soc::{
     FixedGovernor, Governor, SimReport, SliceTrace, SocConfig, SocSimulator, TraceSink,
 };
-use sysscale_types::{exec, SimError, SimResult, SimTime};
+use sysscale_types::{exec, fnv1a64, SimError, SimResult, SimTime};
 use sysscale_workloads::{PhaseSchedule, Workload};
 
 use crate::baselines::memscale_config;
@@ -926,18 +926,12 @@ impl ScenarioSet {
 /// full configuration equality.
 #[must_use]
 pub fn platform_fingerprint(config: &SocConfig) -> u64 {
-    let rendered = format!("{config:?}");
-    let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
-    for byte in rendered.as_bytes() {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
+    fnv1a64(format!("{config:?}").as_bytes())
 }
 
-/// Estimated execution cost of one scenario, used as the shard weight of
-/// cost-keyed sweep execution ([`SweepSharding::ByCost`] /
-/// [`SweepSharding::SplitHotCost`]).
+/// Estimated execution cost of one scenario, used to size the leases the
+/// sweep service and the distributed dispatcher cut each worker slot into
+/// (see [`exec::cost_quantile_chunks`]).
 ///
 /// The estimate is [`PhaseSchedule::estimated_cost`] over the scenario's
 /// effective duration — derived purely from the workload's resolved phase
@@ -987,7 +981,7 @@ pub trait ScenarioSource: Sync {
     }
 
     /// One estimated execution cost per scenario (see [`scenario_cost`]);
-    /// cost-keyed sweep strategies balance worker load by these weights
+    /// lease planners cut worker slots at cost quantiles of these weights
     /// instead of cell counts. The default derives the costs from one
     /// streaming pass; sources that know their cells' costs up front (or
     /// share workloads across many cells) should override it.
@@ -1074,37 +1068,6 @@ pub enum SweepSharding {
     /// platforms (every worker stays busy, and each platform still touches
     /// the fewest workers possible). The default.
     ByPlatform,
-    /// [`SweepSharding::ByPlatform`] with hot-platform splitting
-    /// ([`exec::Shard::SplitHotKeys`]): a platform owning more than
-    /// `⌈cells / threads⌉` cells — whose single worker would otherwise be
-    /// the sweep's critical path — has its cells split across its
-    /// proportional share of the workers (deterministically, into balanced
-    /// *contiguous* occurrence blocks, so adjacent cells such as a
-    /// calibration high/low pair still land on one worker except at block
-    /// boundaries), while platforms at or below the threshold keep full
-    /// `ByPlatform` locality. Costs one extra simulator build per extra
-    /// worker the hot platform touches; use it for skewed sweeps where one
-    /// configuration dominates the cell count.
-    SplitHotKeys,
-    /// [`SweepSharding::ByPlatform`] weighted by the per-cell cost model
-    /// ([`exec::Shard::ByCostKeyed`] over [`scenario_cost`] estimates):
-    /// whole platforms are placed on workers greedily by **summed estimated
-    /// cost** instead of cell count, so a platform whose cells are
-    /// individually expensive (long traces, memory-bound phases) no longer
-    /// counts the same as one full of sub-second cells. Keeps full platform
-    /// locality — use it when per-cell runtimes are skewed but no single
-    /// platform dominates the total.
-    ByCost,
-    /// [`SweepSharding::ByCost`] with hot-platform splitting
-    /// ([`exec::Shard::SplitHotCost`]): a platform whose *summed estimated
-    /// cost* exceeds its fair share `⌈total cost / threads⌉` is split
-    /// across its cost-proportional share of the workers, with the split
-    /// balanced by per-cell cost rather than occurrence count — one
-    /// ~100×-cost cell among hundreds of short ones runs alone on a worker
-    /// instead of serializing a count-balanced block. Cold platforms keep
-    /// full locality. The strongest strategy for pathologically skewed
-    /// sweeps; results remain byte-identical to every other strategy.
-    SplitHotCost,
 }
 
 enum MemberSource<'a> {
@@ -1238,9 +1201,9 @@ impl<'a> SweepSet<'a> {
     }
 
     /// Estimated execution cost of every cell, in flat order (see
-    /// [`scenario_cost`] and [`ScenarioSource::cell_costs`]). This is the
-    /// weight vector the cost-keyed sharding strategies balance by, and what
-    /// the distributed dispatcher sizes lease index-ranges with.
+    /// [`scenario_cost`] and [`ScenarioSource::cell_costs`]): the weight
+    /// vector the sweep service and the distributed dispatcher size leases
+    /// with.
     #[must_use]
     pub fn cell_costs(&self) -> Vec<u64> {
         self.members
@@ -1261,7 +1224,7 @@ impl<'a> SweepSet<'a> {
     }
 
     /// Like [`SweepSet::run_parallel`], but with an explicit sharding
-    /// strategy. Useful to measure what platform-keyed sharding buys: all
+    /// strategy. Useful to measure what platform-keyed sharding buys: both
     /// strategies return byte-identical `RunSet`s, but
     /// [`SweepSharding::RoundRobin`] rebuilds shared platforms on every
     /// worker.
@@ -1339,8 +1302,8 @@ impl<'a> SweepSet<'a> {
         consumer: &Q,
     ) -> SimResult<Q::Acc> {
         let (offsets, total) = self.member_offsets();
-        let (keys, costs) = self.shard_inputs(sharding);
-        let shard = shard_of(sharding, &keys, &costs);
+        let keys = self.sharding_keys(sharding);
+        let shard = shard_of(sharding, &keys);
 
         // A worker's fold state: the consumer accumulator plus the
         // earliest error the worker hit (after which its remaining cells
@@ -1473,9 +1436,9 @@ impl<'a> SweepSet<'a> {
     /// sweep into, for `threads` requested workers under `sharding` — the
     /// worker count is clamped exactly like
     /// [`SweepSet::run_parallel_fold_sharded`] clamps it
-    /// ([`exec::effective_workers`]), and the shard inputs (keys, costs)
-    /// are computed by the same code path, so element `w` is precisely the
-    /// ascending cell list worker `w` of the in-process fold would visit.
+    /// ([`exec::effective_workers`]), and the shard keys are computed by
+    /// the same code path, so element `w` is precisely the ascending cell
+    /// list worker `w` of the in-process fold would visit.
     ///
     /// This is the planning half of an externally driven fold: a scheduler
     /// that executes each slot's list in order (in any interleaving with
@@ -1489,8 +1452,8 @@ impl<'a> SweepSet<'a> {
         if total == 0 {
             return vec![Vec::new(); workers];
         }
-        let (keys, costs) = self.shard_inputs(sharding);
-        shard_of(sharding, &keys, &costs).worker_lists(total, workers)
+        let keys = self.sharding_keys(sharding);
+        shard_of(sharding, &keys).worker_lists(total, workers)
     }
 
     /// Executes an ascending slice of flat cells on **one** session,
@@ -1541,26 +1504,18 @@ impl<'a> SweepSet<'a> {
         Ok(())
     }
 
-    /// The `(keys, costs)` inputs the sharding strategy partitions by —
-    /// shared by [`SweepSet::run_parallel_fold_sharded`] and
+    /// The shard keys the sharding strategy partitions by — shared by
+    /// [`SweepSet::run_parallel_fold_sharded`] and
     /// [`SweepSet::slot_indices`] so both compute the identical partition.
-    fn shard_inputs(&self, sharding: SweepSharding) -> (Vec<u64>, Vec<u64>) {
-        let keys: Vec<u64> = match sharding {
+    fn sharding_keys(&self, sharding: SweepSharding) -> Vec<u64> {
+        match sharding {
             SweepSharding::RoundRobin => Vec::new(),
-            SweepSharding::ByPlatform
-            | SweepSharding::SplitHotKeys
-            | SweepSharding::ByCost
-            | SweepSharding::SplitHotCost => self
+            SweepSharding::ByPlatform => self
                 .members
                 .iter()
                 .flat_map(|(m, _)| m.as_source().shard_keys())
                 .collect(),
-        };
-        let costs: Vec<u64> = match sharding {
-            SweepSharding::ByCost | SweepSharding::SplitHotCost => self.cell_costs(),
-            _ => Vec::new(),
-        };
-        (keys, costs)
+        }
     }
 
     /// Member start offsets (by flat index) and the total cell count.
@@ -1638,13 +1593,10 @@ impl<'a> SweepSet<'a> {
 /// [`exec::Shard`] it runs as. Kept as one function so every caller
 /// (the in-process fold, [`SweepSet::slot_indices`]) agrees on the
 /// mapping.
-fn shard_of<'a>(sharding: SweepSharding, keys: &'a [u64], costs: &'a [u64]) -> exec::Shard<'a> {
+fn shard_of(sharding: SweepSharding, keys: &[u64]) -> exec::Shard<'_> {
     match sharding {
         SweepSharding::RoundRobin => exec::Shard::RoundRobin,
         SweepSharding::ByPlatform => exec::Shard::ByKey(keys),
-        SweepSharding::SplitHotKeys => exec::Shard::SplitHotKeys(keys),
-        SweepSharding::ByCost => exec::Shard::ByCostKeyed { keys, costs },
-        SweepSharding::SplitHotCost => exec::Shard::SplitHotCost { keys, costs },
     }
 }
 
@@ -2464,11 +2416,7 @@ mod tests {
         }
         let costs = sweep.cell_costs();
 
-        for sharding in [
-            SweepSharding::ByPlatform,
-            SweepSharding::ByCost,
-            SweepSharding::SplitHotCost,
-        ] {
+        for sharding in [SweepSharding::ByPlatform, SweepSharding::RoundRobin] {
             for threads in [1, 2, 3] {
                 let expected = sweep
                     .run_parallel_fold_sharded(

@@ -61,14 +61,6 @@ use crate::worker::{FAULT_ENV, HANG_ENV, POISON_CRASH_ENV, POISON_FLAT_ENV};
 /// next-to-the-current-executable discovery.
 pub const WORKER_ENV: &str = "SYSSCALE_DIST_WORKER";
 
-/// Environment variable enabling the dispatcher's heartbeat watchdog: a
-/// worker slot with outstanding leases that streams no frame for this many
-/// milliseconds is declared hung, killed, and its leases re-issued through
-/// the same generation-tagged death path a crashed worker takes. Unset (or
-/// 0) disables the watchdog; [`DistOptions::heartbeat_timeout`] overrides
-/// the environment.
-pub const HEARTBEAT_TIMEOUT_ENV: &str = "SYSSCALE_DIST_HEARTBEAT_TIMEOUT_MS";
-
 /// How long the dispatcher waits for a TCP worker to dial back before
 /// declaring the spawn failed.
 const TCP_ACCEPT_TIMEOUT: Duration = Duration::from_secs(30);
@@ -108,7 +100,7 @@ pub struct WorkerFault {
     pub after_results: u64,
     /// `false`: SIGKILL (the reader sees EOF and the death path fires on
     /// its own). `true`: hang with the stream open — only the heartbeat
-    /// watchdog ([`HEARTBEAT_TIMEOUT_ENV`]) can recover.
+    /// watchdog ([`DistOptions::heartbeat_timeout`]) can recover.
     pub hang: bool,
 }
 
@@ -146,9 +138,9 @@ pub struct DistOptions {
     /// deaths fail the sweep.
     pub max_respawns: usize,
     /// Heartbeat watchdog timeout: a slot with outstanding leases that
-    /// streams no frame for this long is killed and its leases re-issued.
-    /// `None` (default) falls back to [`HEARTBEAT_TIMEOUT_ENV`]; unset
-    /// there too disables the watchdog.
+    /// streams no frame for this long is declared hung, killed, and its
+    /// leases re-issued through the same generation-tagged death path a
+    /// crashed worker takes. `None` (default) disables the watchdog.
     pub heartbeat_timeout: Option<Duration>,
     /// Test-only deliberate worker sacrifice.
     pub fault: Option<WorkerFault>,
@@ -885,19 +877,12 @@ fn dispatch<Q: RunConsumer>(
     // time; a slot with outstanding leases that stays silent past the
     // timeout is killed, which closes its stream and drives the ordinary
     // generation-tagged death path below — re-issue, respawn, replay.
-    let heartbeat_timeout = options.heartbeat_timeout.or_else(|| {
-        std::env::var(HEARTBEAT_TIMEOUT_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .filter(|&ms| ms > 0)
-            .map(Duration::from_millis)
-    });
     let mut last_seen: Vec<Instant> = vec![Instant::now(); slots];
 
     let mut failure: Option<SimError> = None;
     let mut leases_retired = 0usize;
     while remaining > 0 && failure.is_none() {
-        let event = match heartbeat_timeout {
+        let event = match options.heartbeat_timeout {
             None => match events_rx.recv() {
                 Ok(event) => Some(event),
                 Err(_) => {
@@ -919,7 +904,7 @@ fn dispatch<Q: RunConsumer>(
                 }
             }
         };
-        if let Some(timeout) = heartbeat_timeout {
+        if let Some(timeout) = options.heartbeat_timeout {
             for slot in 0..slots {
                 let hung = workers[slot].as_ref().is_some_and(|w| w.alive)
                     && slot_leases[slot].iter().any(|&id| !leases[id].done)

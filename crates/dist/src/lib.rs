@@ -77,7 +77,7 @@ pub mod worker;
 pub use dispatcher::{
     run_distributed, run_distributed_fold, run_distributed_fold_partial, run_distributed_partial,
     DistOptions, DistStats, FailedCell, FailedCells, PoisonFault, TransportKind, WorkerFault,
-    HEARTBEAT_TIMEOUT_ENV, MAX_LEASE_EXECUTIONS, WORKER_ENV,
+    MAX_LEASE_EXECUTIONS, WORKER_ENV,
 };
 pub use duplex::{byte_pipe, duplex, DuplexEnd, PipeReader, PipeWriter};
 pub use fault::{FaultKind, FaultPlan, FaultReader, WireFault, FAULT_PLAN_ENV};

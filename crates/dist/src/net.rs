@@ -27,6 +27,9 @@ use std::time::Duration;
 
 use sysscale_types::rng::SplitMix64;
 
+/// The workspace's content hash (recipe fingerprints, backoff jitter seeds).
+pub use sysscale_types::fnv1a64;
+
 /// Connect attempts before [`connect_with_backoff`] gives up.
 pub const CONNECT_ATTEMPTS: u32 = 8;
 
@@ -115,18 +118,6 @@ pub fn transient_retries() -> u64 {
     TRANSIENT_RETRIES.load(Ordering::Relaxed)
 }
 
-/// FNV-1a 64-bit hash — the crate's deterministic, dependency-free content
-/// hash (recipe fingerprints, backoff jitter seeds).
-#[must_use]
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xCBF2_9CE4_8422_2325u64;
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
-
 /// Whether a failed `connect` is worth retrying: the peer may simply not be
 /// listening *yet* (refused, reset, aborted, timed out) or the kernel asked
 /// us to try again (`WouldBlock`, `Interrupted`). Anything else — an
@@ -188,14 +179,6 @@ pub fn connect_with_backoff(addr: &str) -> std::io::Result<TcpStream> {
 mod tests {
     use super::*;
     use std::net::TcpListener;
-
-    #[test]
-    fn fnv1a64_matches_known_vectors() {
-        // Published FNV-1a 64-bit test vectors.
-        assert_eq!(fnv1a64(b""), 0xCBF2_9CE4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xAF63_DC4C_8601_EC8C);
-        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_F739_67E8);
-    }
 
     #[test]
     fn connect_with_backoff_reaches_a_live_listener_first_try() {

@@ -485,9 +485,6 @@ impl SweepRecipe {
         enc.put_u8(match self.sharding {
             SweepSharding::RoundRobin => 0,
             SweepSharding::ByPlatform => 1,
-            SweepSharding::SplitHotKeys => 2,
-            SweepSharding::ByCost => 3,
-            SweepSharding::SplitHotCost => 4,
         });
         enc.put_u32(self.members.len() as u32);
         for member in &self.members {
@@ -501,7 +498,7 @@ impl SweepRecipe {
     /// # Errors
     ///
     /// Returns [`WireError::Malformed`] on bad magic, an unknown version,
-    /// or any malformed member.
+    /// an unknown sharding tag, or any malformed member.
     pub fn decode(bytes: &[u8]) -> Result<Self, WireError> {
         let mut dec = Dec::new(bytes);
         let magic = dec.u32()?;
@@ -519,9 +516,6 @@ impl SweepRecipe {
         let sharding = match dec.u8()? {
             0 => SweepSharding::RoundRobin,
             1 => SweepSharding::ByPlatform,
-            2 => SweepSharding::SplitHotKeys,
-            3 => SweepSharding::ByCost,
-            4 => SweepSharding::SplitHotCost,
             tag => return Err(WireError::malformed(format!("sharding tag {tag}"))),
         };
         let member_count = dec.u32()?;
@@ -638,6 +632,39 @@ mod tests {
             format!("{err}").contains("fingerprint mismatch"),
             "unexpected error: {err}"
         );
+    }
+
+    #[test]
+    fn sharding_tags_are_pinned_and_unknown_tags_rejected() {
+        // The sharding tag is the byte after the magic (4) and version (2).
+        const TAG: usize = 6;
+        let mut recipe = SweepRecipe::fig10(&[3.5, 4.5]);
+        // Journals are keyed by this fingerprint: the encoding of the
+        // surviving tags must never move it.
+        assert_eq!(recipe.fingerprint64(), 0x2EDB_17C2_2A7C_ACCB);
+        for (sharding, tag) in [
+            (SweepSharding::RoundRobin, 0),
+            (SweepSharding::ByPlatform, 1),
+        ] {
+            recipe.sharding = sharding;
+            let bytes = recipe.encode();
+            assert_eq!(bytes[TAG], tag, "{sharding:?}");
+            assert_eq!(
+                SweepRecipe::decode(&bytes).expect("decode").sharding,
+                sharding
+            );
+        }
+        let bytes = recipe.encode();
+        for tag in 2..=u8::MAX {
+            let mut bytes = bytes.clone();
+            bytes[TAG] = tag;
+            match SweepRecipe::decode(&bytes) {
+                Err(WireError::Malformed(msg)) => {
+                    assert!(msg.contains(&format!("sharding tag {tag}")), "{msg}");
+                }
+                other => panic!("tag {tag} must be malformed, got {other:?}"),
+            }
+        }
     }
 
     #[test]

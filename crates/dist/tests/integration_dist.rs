@@ -249,13 +249,14 @@ fn hung_worker_is_killed_by_the_watchdog_and_leases_replay_bit_identically() {
     );
 }
 
-/// Tentpole acceptance: cost-sized leases (recipe sharded by
-/// [`sysscale::SweepSharding::SplitHotCost`]) produce RunSets byte-identical
-/// to the in-process executor at 1, 2, and 4 worker processes.
+/// Cost-sized leases over a [`sysscale::SweepSharding::RoundRobin`] recipe
+/// (every other distributed test sends the default `ByPlatform`) produce
+/// RunSets byte-identical to the in-process executor at 1, 2, and 4 worker
+/// processes.
 #[test]
 fn cost_sized_leases_are_bit_identical_at_every_process_count() {
     let mut recipe = small_recipe();
-    recipe.sharding = sysscale::SweepSharding::SplitHotCost;
+    recipe.sharding = sysscale::SweepSharding::RoundRobin;
     let cells = recipe.total_cells() as u64;
     let expected = in_process(&recipe, 3);
 
@@ -264,7 +265,7 @@ fn cost_sized_leases_are_bit_identical_at_every_process_count() {
             run_distributed(&recipe, &options(procs)).expect("distributed sweep succeeds");
         assert_eq!(
             got, expected,
-            "{procs}-process cost-sharded run must be bit-identical to in-process"
+            "{procs}-process round-robin run must be bit-identical to in-process"
         );
         assert_clean(&stats, cells);
     }

@@ -7,54 +7,64 @@
 //! * **static sharding** — the item→worker assignment is a pure function of
 //!   `(item index, worker count, shard strategy)`. There is no work stealing
 //!   and no shared queue, so every run of the same input is scheduled
-//!   identically. Five strategies exist ([`Shard`]): plain round-robin
-//!   (worker `w` of `n` processes items `w, w + n, w + 2n, …`), keyed
+//!   identically. Two strategies exist ([`Shard`]): plain round-robin
+//!   (worker `w` of `n` processes items `w, w + n, w + 2n, …`) and keyed
 //!   sharding (items sharing a key — e.g. simulation cells on the same
 //!   platform — are grouped onto as few workers as possible while keeping
-//!   every worker busy; see [`Shard::ByKey`]), hot-key splitting
-//!   ([`Shard::SplitHotKeys`], keyed sharding that additionally splits any
-//!   key owning more than its fair share of the input across several
-//!   workers, so one dominant key cannot serialize a batch), and their
-//!   cost-weighted counterparts ([`Shard::ByCostKeyed`] and
-//!   [`Shard::SplitHotCost`], which balance by a caller-supplied per-item
-//!   cost weight instead of item count, so one dominant-*cost* item cannot
-//!   serialize a batch either);
-//! * **stable output order** — results are returned indexed by the *input*
-//!   position, never by completion order, so callers observe output that is
-//!   independent of thread interleaving;
+//!   every worker busy; see [`Shard::ByKey`]);
+//! * **index-driven streaming folds** — [`fold_indices_with_workers`] hands
+//!   each worker bare indices, always in ascending order, instead of slice
+//!   elements, so callers can pull items from a lazy per-worker generator
+//!   and never materialize the full input. Each worker folds its index
+//!   stream into a per-worker accumulator, and the accumulators are merged
+//!   deterministically in worker order, so callers can aggregate
+//!   arbitrarily large batches without materializing one result per item;
 //! * **scoped threads** — built on [`std::thread::scope`], so borrowed items
 //!   and per-worker contexts need no `'static` lifetimes and no reference
 //!   counting;
-//! * **index-driven streaming** — [`map_indices_with_workers`] hands workers
-//!   bare indices (always in ascending order per worker) instead of slice
-//!   elements, so callers can pull items from a lazy per-worker generator
-//!   and never materialize the full input;
-//! * **streaming folds** — [`fold_indices_with_workers`] lets each worker
-//!   fold its (ascending) index stream into a per-worker accumulator that
-//!   is merged deterministically in worker order, so callers can aggregate
-//!   arbitrarily large batches without materializing one result per item.
+//! * **resumable folds** — [`Shard::worker_lists`],
+//!   [`cost_quantile_chunks`] and [`IncrementalFold`] run the same fold in
+//!   suspendable pieces, bit-identical to the one-shot fold.
 //!
 //! Determinism caveat: the pool guarantees deterministic *scheduling* and
-//! *ordering*. Bit-identical results additionally require that the mapped
-//! function itself is a pure function of `(index, item, worker context)` and
-//! that per-worker contexts are interchangeable (e.g. caches only).
+//! *merge order*. Bit-identical results additionally require that the
+//! folded function itself is a pure function of `(index, worker context)`
+//! and that per-worker contexts are interchangeable (e.g. caches only).
 //!
 //! ## Example
 //!
 //! ```
 //! use sysscale_types::exec;
 //!
-//! let squares = exec::map_indexed(4, &[1, 2, 3, 4, 5], |_i, x| x * x);
+//! // Square every item into a per-index slot: the result is the same at
+//! // every worker count and under either strategy.
+//! let items = [1u64, 2, 3, 4, 5];
+//! let mut contexts = vec![(); 2];
+//! let squares = exec::fold_indices_with_workers(
+//!     &mut contexts,
+//!     items.len(),
+//!     exec::Shard::RoundRobin,
+//!     || vec![0u64; items.len()],
+//!     |(), slots: &mut Vec<u64>, i| slots[i] = items[i] * items[i],
+//!     |into, from| into.iter_mut().zip(from).for_each(|(a, b)| *a += b),
+//! );
 //! assert_eq!(squares, vec![1, 4, 9, 16, 25]);
 //!
-//! // Per-worker mutable contexts (one accumulator per worker):
-//! let mut sums = vec![0u64; 2];
-//! let doubled = exec::map_with_workers(&mut sums, &[1u64, 2, 3], |sum, _i, x| {
-//!     *sum += x;
-//!     x * 2
-//! });
-//! assert_eq!(doubled, vec![2, 4, 6]);
-//! assert_eq!(sums.iter().sum::<u64>(), 6);
+//! // Per-worker mutable contexts (one counter per worker):
+//! let mut visits = vec![0usize; 2];
+//! let sum = exec::fold_indices_with_workers(
+//!     &mut visits,
+//!     items.len(),
+//!     exec::Shard::RoundRobin,
+//!     || 0u64,
+//!     |seen, acc, i| {
+//!         *seen += 1;
+//!         *acc += items[i];
+//!     },
+//!     |into, from| *into += from,
+//! );
+//! assert_eq!(sum, 15);
+//! assert_eq!(visits, vec![3, 2]);
 //! ```
 
 use std::num::NonZeroUsize;
@@ -178,8 +188,8 @@ pub fn default_procs() -> usize {
 /// Both strategies are static: the assignment is a pure function of the item
 /// index, the worker count, and (for keyed sharding) the caller-provided key
 /// slice — never of timing. Changing the strategy changes *which worker*
-/// processes an item, not the result order, so any mapped function that is a
-/// pure function of `(index, item)` with interchangeable worker contexts
+/// processes an item, not the merge order, so any fold whose `fold`/`merge`
+/// pair is insensitive to the partition (see [`fold_indices_with_workers`])
 /// produces identical output under either strategy.
 #[derive(Debug, Clone, Copy)]
 pub enum Shard<'k> {
@@ -211,65 +221,6 @@ pub enum Shard<'k> {
     ///   that pair up adjacent cells (e.g. a calibration high/low pair)
     ///   hold O(workers) records in flight, not O(items).
     ByKey(&'k [u64]),
-    /// [`Shard::ByKey`] with hot-key splitting: any key owning more than
-    /// `⌈len / workers⌉` items (its fair share of the input) is split into
-    /// its proportional share of the workers — `⌈count·workers/len⌉`
-    /// subgroups (at least 2), each holding at most the fair-share
-    /// threshold — and the subgroups are spread like independent keys. A
-    /// single dominant key can no longer serialize a batch on one worker
-    /// (a key owning the whole input spreads over *every* worker), while
-    /// keys at or below the threshold keep the full [`Shard::ByKey`]
-    /// locality (one group, fewest workers possible).
-    ///
-    /// The split is deterministic and order-insensitive at the group level:
-    /// subgroup ids derive from the value-sorted dense rank of the key and
-    /// the occurrence index of the item within its key (a balanced
-    /// contiguous partition — occurrence `o` of `count` items split `k`
-    /// ways lands in subgroup `o·k / count`, so subgroup sizes stay within
-    /// one of each other, never exceed the threshold, and adjacent cells
-    /// stay together for pairing fold consumers), and the *set* of workers
-    /// that own a key is again a pure function of the key multiset and the
-    /// worker count.
-    SplitHotKeys(&'k [u64]),
-    /// Keyed sharding balanced by per-item **cost** instead of item count:
-    /// items sharing a key stay grouped (full [`Shard::ByKey`] locality),
-    /// but whole key groups are placed on workers by greedy
-    /// longest-processing-time assignment over their *summed costs*
-    /// (groups in descending cost order, each to the least-loaded worker),
-    /// so a worker owning one expensive key is not also handed a cheap one
-    /// while another worker idles. With fewer keys than workers, each key
-    /// receives a contiguous worker range sized by its cost share (capped
-    /// at its item count) and its items split cost-balanced over the range.
-    ///
-    /// Costs are opaque weights (a zero cost is treated as one). The
-    /// assignment is a pure function of the `(key, cost)` pair multiset and
-    /// the worker count: permuting the items permutes the assignment
-    /// identically but never changes which workers own a key.
-    ByCostKeyed {
-        /// One key per item (shared key ⇒ same group), as [`Shard::ByKey`].
-        keys: &'k [u64],
-        /// One cost weight per item (relative units; zero counts as one).
-        costs: &'k [u64],
-    },
-    /// [`Shard::ByCostKeyed`] with hot-key splitting by **summed cost**:
-    /// any key whose summed cost exceeds `⌈total / workers⌉` (its fair
-    /// share of the total cost) is split into its proportional share of
-    /// the workers — `⌈key_cost·workers/total⌉` subgroups, at least 2,
-    /// never more than the key's item count — with the key's items
-    /// partitioned over the subgroups by descending-cost greedy balancing
-    /// (prefix-sum cost, not index arithmetic), so one dominant-cost cell
-    /// among hundreds of short ones no longer serializes the batch on one
-    /// worker. Keys at or below the fair share keep full locality.
-    ///
-    /// Like every strategy here the split only steers *scheduling*: which
-    /// worker runs an item, never the result order. Ownership is a pure
-    /// function of the `(key, cost)` pair multiset and the worker count.
-    SplitHotCost {
-        /// One key per item (shared key ⇒ same group), as [`Shard::ByKey`].
-        keys: &'k [u64],
-        /// One cost weight per item (relative units; zero counts as one).
-        costs: &'k [u64],
-    },
 }
 
 /// Dense-ranks `keys` by ascending key value: returns one rank per item and
@@ -317,177 +268,16 @@ fn spread_groups(group_of: Vec<usize>, groups: usize, workers: usize) -> Vec<usi
         .collect()
 }
 
-/// The worker/part with the lowest load (ties resolved to the lowest
-/// index, so the choice is deterministic).
-fn least_loaded(loads: &[u128]) -> usize {
-    let mut best = 0;
-    for (i, &load) in loads.iter().enumerate() {
-        if load < loads[best] {
-            best = i;
-        }
-    }
-    best
-}
-
-/// Splits one group's items into `parts` cost-balanced subgroups by greedy
-/// longest-processing-time assignment: items in descending cost order go to
-/// the currently cheapest subgroup. Returns one part index per item
-/// (parallel to `items`). Ties between equal costs keep arrival order —
-/// equal-cost items of one group are interchangeable, so the per-cost part
-/// multiset (and with it, worker ownership) stays a pure function of the
-/// cost multiset. Every part receives at least one item when the group has
-/// at least `parts` items (the first `parts` items land on distinct parts).
-fn lpt_partition(items: &[usize], cost_of: &dyn Fn(usize) -> u128, parts: usize) -> Vec<usize> {
-    if parts <= 1 {
-        return vec![0; items.len()];
-    }
-    let mut order: Vec<usize> = (0..items.len()).collect();
-    order.sort_by(|&a, &b| cost_of(items[b]).cmp(&cost_of(items[a])).then(a.cmp(&b)));
-    let mut load = vec![0u128; parts];
-    let mut part_of = vec![0usize; items.len()];
-    for j in order {
-        let p = least_loaded(&load);
-        part_of[j] = p;
-        load[p] += cost_of(items[j]);
-    }
-    part_of
-}
-
-/// The shared core of the cost-weighted strategies: dense-ranks the keys,
-/// splits each key into `1` (cold) or its proportional cost share (hot,
-/// when `split_hot`) of subgroups, then places the subgroups on workers by
-/// summed cost — greedy LPT when there are at least as many subgroups as
-/// workers, or cost-proportional contiguous worker ranges (with the items
-/// cost-balanced over each range) when there are fewer.
-fn cost_assignments(keys: &[u64], costs: &[u64], workers: usize, split_hot: bool) -> Vec<usize> {
-    let len = keys.len();
-    let (ranks, distinct) = dense_ranks(keys);
-    // Costs are opaque relative weights; zero would make an item invisible
-    // to the balance, so it is clamped to one. Sums use u128 so a full
-    // u64-cost input cannot overflow.
-    let cost_of = move |i: usize| u128::from(costs[i].max(1));
-    let total: u128 = (0..len).map(cost_of).sum();
-    let mut key_cost = vec![0u128; distinct];
-    let mut key_items: Vec<Vec<usize>> = vec![Vec::new(); distinct];
-    for (i, &r) in ranks.iter().enumerate() {
-        key_cost[r] += cost_of(i);
-        key_items[r].push(i);
-    }
-    // A key's fair share of the total cost; summing more makes it hot. A
-    // hot key splits into `⌈key_cost·workers/total⌉` subgroups (at least
-    // 2 — it is hot — and never more than its item count: a single
-    // expensive item cannot be split).
-    let fair = total.div_ceil(workers as u128).max(1);
-    let splits: Vec<usize> = (0..distinct)
-        .map(|r| {
-            if split_hot && key_cost[r] > fair {
-                let share = (key_cost[r] * workers as u128).div_ceil(total.max(1)) as usize;
-                share.max(2).min(key_items[r].len()).max(1)
-            } else {
-                1
-            }
-        })
-        .collect();
-    let total_groups: usize = splits.iter().sum();
-
-    // Subgroup ids are rank-major, part-minor — a pure function of the
-    // value-sorted key ranks, never of first-appearance order.
-    let mut group_of = vec![0usize; len];
-    let mut group_cost = vec![0u128; total_groups];
-    let mut group_items: Vec<Vec<usize>> = vec![Vec::new(); total_groups];
-    let mut base = 0usize;
-    for r in 0..distinct {
-        let part_of = lpt_partition(&key_items[r], &cost_of, splits[r]);
-        for (j, &i) in key_items[r].iter().enumerate() {
-            let g = base + part_of[j];
-            group_of[i] = g;
-            group_cost[g] += cost_of(i);
-            group_items[g].push(i);
-        }
-        base += splits[r];
-    }
-
-    if total_groups >= workers {
-        // Whole subgroups placed by greedy LPT over their summed costs:
-        // subgroups in descending cost order (ties by ascending subgroup
-        // id) each go to the least-loaded worker. With every cost at least
-        // one, the first `workers` subgroups land on distinct workers.
-        let mut order: Vec<usize> = (0..total_groups).collect();
-        order.sort_by(|&a, &b| group_cost[b].cmp(&group_cost[a]).then(a.cmp(&b)));
-        let mut load = vec![0u128; workers];
-        let mut worker_of_group = vec![0usize; total_groups];
-        for g in order {
-            let w = least_loaded(&load);
-            worker_of_group[g] = w;
-            load[w] += group_cost[g];
-        }
-        return group_of.into_iter().map(|g| worker_of_group[g]).collect();
-    }
-
-    // Fewer subgroups than workers: each subgroup receives a contiguous
-    // worker range. Every subgroup gets one worker; the surplus workers go
-    // one at a time to the subgroup with the highest cost per allotted
-    // worker that still has more items than workers (deterministic greedy,
-    // ties to the lowest subgroup id). A range can never outgrow its item
-    // count, so no worker is handed an empty block while another subgroup
-    // still has items to spread.
-    let mut width = vec![1usize; total_groups];
-    let mut surplus = workers - total_groups;
-    while surplus > 0 {
-        let mut best: Option<usize> = None;
-        for g in 0..total_groups {
-            if width[g] >= group_items[g].len() {
-                continue;
-            }
-            let better = match best {
-                None => true,
-                // cost[g]/width[g] > cost[b]/width[b], cross-multiplied.
-                Some(b) => group_cost[g] * width[b] as u128 > group_cost[b] * width[g] as u128,
-            };
-            if better {
-                best = Some(g);
-            }
-        }
-        let Some(g) = best else {
-            break; // fewer items than workers overall: idle workers remain
-        };
-        width[g] += 1;
-        surplus -= 1;
-    }
-    let mut start = vec![0usize; total_groups];
-    for g in 1..total_groups {
-        start[g] = start[g - 1] + width[g - 1];
-    }
-    let mut assignment = vec![0usize; len];
-    for g in 0..total_groups {
-        let part_of = lpt_partition(&group_items[g], &cost_of, width[g]);
-        for (j, &i) in group_items[g].iter().enumerate() {
-            assignment[i] = start[g] + part_of[j];
-        }
-    }
-    assignment
-}
-
 impl Shard<'_> {
     /// The key slice of a keyed strategy (`None` for round-robin).
     fn keys(&self) -> Option<&[u64]> {
         match self {
             Shard::RoundRobin => None,
-            Shard::ByKey(keys) | Shard::SplitHotKeys(keys) => Some(keys),
-            Shard::ByCostKeyed { keys, .. } | Shard::SplitHotCost { keys, .. } => Some(keys),
+            Shard::ByKey(keys) => Some(keys),
         }
     }
 
-    /// The cost slice of a cost-weighted strategy (`None` otherwise).
-    fn costs(&self) -> Option<&[u64]> {
-        match self {
-            Shard::RoundRobin | Shard::ByKey(_) | Shard::SplitHotKeys(_) => None,
-            Shard::ByCostKeyed { costs, .. } | Shard::SplitHotCost { costs, .. } => Some(costs),
-        }
-    }
-
-    /// Validates that a keyed strategy's key (and cost) slices cover `len`
-    /// items.
+    /// Validates that a keyed strategy's key slice covers `len` items.
     fn validate(&self, len: usize) {
         if let Some(keys) = self.keys() {
             assert!(
@@ -496,25 +286,18 @@ impl Shard<'_> {
                 keys.len()
             );
         }
-        if let Some(costs) = self.costs() {
-            assert!(
-                costs.len() >= len,
-                "shard costs ({}) shorter than the input ({len})",
-                costs.len()
-            );
-        }
     }
 
     /// Computes the worker index for every item, as a pure function of
-    /// `(len, workers)` and (for keyed sharding) the key slice — and, for
-    /// the keyed strategies, of the key *multiset* only: permuting the
-    /// items (and their keys) permutes the assignment identically but never
-    /// changes which workers own a key.
+    /// `(len, workers)` and (for keyed sharding) the key slice — and of the
+    /// key *multiset* only: permuting the items (and their keys) permutes
+    /// the assignment identically but never changes which workers own a
+    /// key.
     ///
     /// # Panics
     ///
-    /// Panics if `workers` is zero, or (for the keyed strategies) if the
-    /// key slice is shorter than `len`.
+    /// Panics if `workers` is zero, or (for keyed sharding) if the key
+    /// slice is shorter than `len`.
     #[must_use]
     pub fn assignments(&self, len: usize, workers: usize) -> Vec<usize> {
         assert!(workers > 0, "shard requires at least one worker");
@@ -524,56 +307,6 @@ impl Shard<'_> {
             Shard::ByKey(keys) => {
                 let (ranks, distinct) = dense_ranks(&keys[..len]);
                 spread_groups(ranks, distinct, workers)
-            }
-            Shard::SplitHotKeys(keys) => {
-                let (ranks, distinct) = dense_ranks(&keys[..len]);
-                // A key's fair share of the input; owning more makes it hot.
-                let threshold = len.div_ceil(workers).max(1);
-                let mut counts = vec![0usize; distinct];
-                for &rank in &ranks {
-                    counts[rank] += 1;
-                }
-                // Key `rank` owns subgroup ids [base[rank], base[rank] + splits[rank]).
-                // A hot key splits into its *proportional share* of the
-                // workers, `⌈c·workers/len⌉` — at least 2 (it is hot), and
-                // enough subgroups that a single dominant key fills every
-                // worker instead of just `⌈c/threshold⌉` of them; each
-                // subgroup still holds at most `⌈c / k⌉ ≤ threshold` items.
-                let splits: Vec<usize> = counts
-                    .iter()
-                    .map(|&c| {
-                        if c > threshold {
-                            (c * workers).div_ceil(len)
-                        } else {
-                            1
-                        }
-                    })
-                    .collect();
-                let mut base = Vec::with_capacity(distinct);
-                let mut total_groups = 0usize;
-                for &k in &splits {
-                    base.push(total_groups);
-                    total_groups += k;
-                }
-                let mut occurrence = vec![0usize; distinct];
-                let groups: Vec<usize> = ranks
-                    .into_iter()
-                    .map(|rank| {
-                        let o = occurrence[rank];
-                        occurrence[rank] += 1;
-                        // Balanced contiguous occurrence blocks (each at
-                        // most `threshold` items, sizes within one):
-                        // adjacent cells stay together.
-                        base[rank] + o * splits[rank] / counts[rank]
-                    })
-                    .collect();
-                spread_groups(groups, total_groups, workers)
-            }
-            Shard::ByCostKeyed { keys, costs } => {
-                cost_assignments(&keys[..len], &costs[..len], workers, false)
-            }
-            Shard::SplitHotCost { keys, costs } => {
-                cost_assignments(&keys[..len], &costs[..len], workers, true)
             }
         }
     }
@@ -592,8 +325,8 @@ impl Shard<'_> {
     ///
     /// # Panics
     ///
-    /// Panics if `workers` is zero, or (for the keyed strategies) if the
-    /// key slice is shorter than `len`.
+    /// Panics if `workers` is zero, or (for keyed sharding) if the key
+    /// slice is shorter than `len`.
     #[must_use]
     pub fn worker_lists(&self, len: usize, workers: usize) -> Vec<Vec<usize>> {
         assert!(workers > 0, "shard requires at least one worker");
@@ -611,8 +344,7 @@ impl Shard<'_> {
 /// total, so an expensive item no longer drags a count-equal share of cheap
 /// neighbours into its piece. Every piece keeps at least one item, pieces
 /// stay contiguous and in order, and the plan is a pure function of
-/// `(items, costs, chunks)`. Zero costs count as one, mirroring the
-/// cost-keyed shard strategies.
+/// `(items, costs, chunks)`. Zero costs count as one.
 ///
 /// This is the lease-sizing primitive shared by the distributed
 /// dispatcher (cutting a worker slot's shard into replayable leases) and
@@ -772,110 +504,6 @@ impl<A> IncrementalFold<A> {
     }
 }
 
-/// Maps `f` over `items` on up to `threads` scoped workers and returns the
-/// results in input order.
-///
-/// Sharding is static round-robin (worker `w` takes indices
-/// `w, w + threads, …`), so both the schedule and the output order are
-/// deterministic for a given `(items.len(), threads)`. A `threads` of 1 (or
-/// a single-item input) runs inline on the calling thread without spawning.
-///
-/// # Panics
-///
-/// Propagates a panic from `f` after the remaining workers finish.
-pub fn map_indexed<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let mut contexts = vec![(); effective_workers(threads, items.len())];
-    map_with_workers(&mut contexts, items, |(), i, x| f(i, x))
-}
-
-/// Like [`map_indexed`], but each worker additionally owns one mutable
-/// context from `contexts` for the duration of the run (a simulator cache, an
-/// accumulator, a scratch buffer). The worker count *is* `contexts.len()`.
-///
-/// Item `i` is processed by worker `i % contexts.len()` — the same static
-/// round-robin shard as [`map_indexed`] — and results come back in input
-/// order.
-///
-/// # Panics
-///
-/// Panics if `contexts` is empty; propagates a panic from `f`.
-pub fn map_with_workers<C, T, R, F>(contexts: &mut [C], items: &[T], f: F) -> Vec<R>
-where
-    C: Send,
-    T: Sync,
-    R: Send,
-    F: Fn(&mut C, usize, &T) -> R + Sync,
-{
-    map_with_workers_sharded(contexts, items, Shard::RoundRobin, f)
-}
-
-/// Like [`map_with_workers`], but with an explicit [`Shard`] strategy
-/// choosing which worker processes each item.
-///
-/// # Panics
-///
-/// Panics if `contexts` is empty, if a [`Shard::ByKey`] key slice is shorter
-/// than `items`, or propagates a panic from `f`.
-pub fn map_with_workers_sharded<C, T, R, F>(
-    contexts: &mut [C],
-    items: &[T],
-    shard: Shard<'_>,
-    f: F,
-) -> Vec<R>
-where
-    C: Send,
-    T: Sync,
-    R: Send,
-    F: Fn(&mut C, usize, &T) -> R + Sync,
-{
-    map_indices_with_workers(contexts, items.len(), shard, |ctx, i| f(ctx, i, &items[i]))
-}
-
-/// The index-driven core of the pool: runs `f(ctx, i)` for every
-/// `i ∈ 0..len`, with item `i` assigned to worker `shard.worker_for(i)` and
-/// each worker visiting its indices in **ascending order**. Results come
-/// back in index order.
-///
-/// Because workers receive bare indices, `f` is free to produce the item for
-/// index `i` however it likes — typically by advancing a lazy per-worker
-/// generator kept inside the worker context `C`, which the ascending-order
-/// guarantee makes a single forward pass. This is what lets million-cell
-/// scenario populations stream through the pool in O(workers) item memory.
-///
-/// # Panics
-///
-/// Panics if `contexts` is empty, if a [`Shard::ByKey`] key slice is shorter
-/// than `len`, or propagates a panic from `f`.
-pub fn map_indices_with_workers<C, R, F>(
-    contexts: &mut [C],
-    len: usize,
-    shard: Shard<'_>,
-    f: F,
-) -> Vec<R>
-where
-    C: Send,
-    R: Send,
-    F: Fn(&mut C, usize) -> R + Sync,
-{
-    // Mapping is the fold whose accumulator is the `(index, result)` list:
-    // each worker collects its own pairs, the per-worker lists concatenate
-    // in worker order, and one slot pass restores input order.
-    let pairs = fold_indices_with_workers(
-        contexts,
-        len,
-        shard,
-        Vec::new,
-        |ctx, acc: &mut Vec<(usize, R)>, i| acc.push((i, f(ctx, i))),
-        |into, from| into.extend(from),
-    );
-    merge_in_order(len, pairs)
-}
-
 /// The fold-capable core of the pool: runs `fold(ctx, acc, i)` for every
 /// `i ∈ 0..len`, with item `i` assigned to a worker by `shard` and each
 /// worker folding its indices in **ascending order** into its own
@@ -884,10 +512,13 @@ where
 /// then `merge(&mut acc₀, acc₂)`, … — and the combined accumulator is
 /// returned.
 ///
-/// This is what lets arbitrarily large batches aggregate on the fly: where
-/// [`map_indices_with_workers`] materializes one result per index, a fold
-/// keeps only `contexts.len()` accumulators alive, so result memory is
-/// O(workers) no matter how large `len` grows.
+/// This is what lets arbitrarily large batches aggregate on the fly: the
+/// pool keeps only `contexts.len()` accumulators alive, so result memory is
+/// O(workers) no matter how large `len` grows. And because workers receive
+/// bare indices, `fold` is free to produce the item for index `i` however
+/// it likes — typically by advancing a lazy per-worker generator kept
+/// inside the worker context `C`, which the ascending-order guarantee makes
+/// a single forward pass.
 ///
 /// ## Determinism
 ///
@@ -935,7 +566,7 @@ where
     let threads = contexts.len();
     // Round-robin needs no materialized schedule — worker `w` walks the
     // stepped range `w, w + threads, …` — so a round-robin fold's memory
-    // really is O(workers). For the keyed strategies one O(len) pass builds
+    // really is O(workers). For keyed sharding one O(len) pass builds
     // each worker's index list; workers then walk their own (ascending)
     // list instead of rescanning the whole range.
     let mut shards: Vec<Option<Vec<usize>>> = if shard.keys().is_none() {
@@ -993,69 +624,9 @@ pub fn effective_workers(threads: usize, items: usize) -> usize {
     threads.max(1).min(items.max(1))
 }
 
-/// Merges concatenated `(index, result)` pairs back into input order.
-fn merge_in_order<R>(len: usize, pairs: Vec<(usize, R)>) -> Vec<R> {
-    let mut slots: Vec<Option<R>> = (0..len).map(|_| None).collect();
-    for (i, r) in pairs {
-        debug_assert!(slots[i].is_none(), "index {i} produced twice");
-        slots[i] = Some(r);
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every index produced exactly once"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn map_indexed_preserves_input_order_at_any_thread_count() {
-        let items: Vec<usize> = (0..37).collect();
-        let expected: Vec<usize> = items.iter().map(|x| x * 3).collect();
-        for threads in [1, 2, 3, 8, 64] {
-            let got = map_indexed(threads, &items, |i, x| {
-                assert_eq!(i, *x);
-                x * 3
-            });
-            assert_eq!(got, expected, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn map_indexed_handles_empty_and_single_inputs() {
-        let empty: Vec<u32> = Vec::new();
-        assert!(map_indexed(4, &empty, |_, x| *x).is_empty());
-        assert_eq!(map_indexed(4, &[7u32], |_, x| x + 1), vec![8]);
-    }
-
-    #[test]
-    fn map_with_workers_shards_round_robin() {
-        // Record which worker saw which index: index i must land on worker
-        // i % workers, by construction.
-        let items: Vec<usize> = (0..20).collect();
-        let mut seen: Vec<Vec<usize>> = vec![Vec::new(); 3];
-        let _ = map_with_workers(&mut seen, &items, |bucket, i, _| {
-            bucket.push(i);
-            i
-        });
-        for (w, bucket) in seen.iter().enumerate() {
-            let expected: Vec<usize> = (0..20).skip(w).step_by(3).collect();
-            assert_eq!(bucket, &expected, "worker {w}");
-        }
-    }
-
-    #[test]
-    fn map_with_workers_single_context_runs_inline() {
-        let mut ctx = vec![0u64];
-        let out = map_with_workers(&mut ctx, &[1u64, 2, 3], |c, _, x| {
-            *c += x;
-            *x
-        });
-        assert_eq!(out, vec![1, 2, 3]);
-        assert_eq!(ctx[0], 6);
-    }
 
     #[test]
     fn keyed_sharding_groups_items_by_key_with_identical_output() {
@@ -1068,11 +639,17 @@ mod tests {
 
         for workers in [1, 2, 3, 8] {
             let mut seen: Vec<Vec<u64>> = vec![Vec::new(); workers];
-            let got =
-                map_with_workers_sharded(&mut seen, &items, Shard::ByKey(&keys), |b, i, x| {
+            let got = fold_indices_with_workers(
+                &mut seen,
+                items.len(),
+                Shard::ByKey(&keys),
+                || vec![0usize; items.len()],
+                |b, slots: &mut Vec<usize>, i| {
                     b.push(keys[i]);
-                    x + 100
-                });
+                    slots[i] = items[i] + 100;
+                },
+                |into, from| into.iter_mut().zip(from).for_each(|(a, b)| *a += b),
+            );
             assert_eq!(got, expected, "workers={workers}");
             let owners = |key: u64| -> Vec<usize> {
                 seen.iter()
@@ -1124,14 +701,24 @@ mod tests {
 
     #[test]
     fn index_driven_mapping_visits_each_worker_shard_in_ascending_order() {
-        let mut orders: Vec<Vec<usize>> = vec![Vec::new(); 3];
-        let out = map_indices_with_workers(&mut orders, 20, Shard::RoundRobin, |bucket, i| {
-            bucket.push(i);
-            i * 2
-        });
-        assert_eq!(out, (0..20).map(|i| i * 2).collect::<Vec<_>>());
-        for bucket in &orders {
-            assert!(bucket.windows(2).all(|w| w[0] < w[1]), "{bucket:?}");
+        let keys: Vec<u64> = (0..20).map(|i| [3, 1, 2][i % 3]).collect();
+        for shard in [Shard::RoundRobin, Shard::ByKey(&keys)] {
+            let mut orders: Vec<Vec<usize>> = vec![Vec::new(); 3];
+            let visited = fold_indices_with_workers(
+                &mut orders,
+                20,
+                shard,
+                || 0usize,
+                |bucket, acc, i| {
+                    bucket.push(i);
+                    *acc += 1;
+                },
+                |into, from| *into += from,
+            );
+            assert_eq!(visited, 20, "{shard:?}");
+            for bucket in &orders {
+                assert!(bucket.windows(2).all(|w| w[0] < w[1]), "{bucket:?}");
+            }
         }
     }
 
@@ -1158,7 +745,14 @@ mod tests {
     fn short_key_slices_are_rejected() {
         let keys = [1u64];
         let mut ctx = [(), ()];
-        let _ = map_indices_with_workers(&mut ctx, 5, Shard::ByKey(&keys), |_, i| i);
+        fold_indices_with_workers(
+            &mut ctx,
+            5,
+            Shard::ByKey(&keys),
+            || (),
+            |_, _, _| {},
+            |_, _| {},
+        );
     }
 
     /// The set of workers each distinct key's items land on.
@@ -1190,50 +784,10 @@ mod tests {
         let keys: Vec<u64> = (0..24).map(|i| 100 + (i as u64 / 6)).collect();
         let reversed: Vec<u64> = keys.iter().rev().copied().collect();
         for workers in [2, 3, 4, 8] {
-            for shard in [Shard::ByKey, Shard::SplitHotKeys] {
-                let forward = owners_by_key(&keys, &shard(&keys).assignments(24, workers));
-                let backward = owners_by_key(&reversed, &shard(&reversed).assignments(24, workers));
-                assert_eq!(forward, backward, "workers={workers}");
-            }
-        }
-    }
-
-    #[test]
-    fn split_hot_keys_spreads_a_dominant_key_over_several_workers() {
-        // Key 7 owns 20 of 24 items (>80 %); key 9 owns 4. With as many
-        // keys as workers, ByKey serializes key 7 entirely on one worker —
-        // the critical path the refinement exists to break. SplitHotKeys
-        // must hand key 7 to >= 2 workers while key 9 keeps exactly one.
-        let keys: Vec<u64> = (0..24).map(|i| if i < 20 { 7 } else { 9 }).collect();
-        let by_key = owners_by_key(&keys, &Shard::ByKey(&keys).assignments(24, 2));
-        assert_eq!(by_key[0].1.len(), 1, "{by_key:?}");
-
-        for workers in [2usize, 4] {
-            let split = Shard::SplitHotKeys(&keys).assignments(24, workers);
-            let owners = owners_by_key(&keys, &split);
-            assert!(
-                owners[0].1.len() >= 2,
-                "hot key not split at {workers} workers: {owners:?}"
-            );
-            assert_eq!(
-                owners[1].1.len(),
-                1,
-                "cold key lost locality at {workers} workers: {owners:?}"
-            );
-            // No worker holds more of the hot key than the fair-share
-            // threshold of ceil(24/workers).
-            let threshold = 24usize.div_ceil(workers);
-            for worker in 0..workers {
-                let cells = split
-                    .iter()
-                    .zip(&keys)
-                    .filter(|(w, k)| **w == worker && **k == 7)
-                    .count();
-                assert!(
-                    cells <= threshold,
-                    "worker {worker} holds {cells} hot cells"
-                );
-            }
+            let forward = owners_by_key(&keys, &Shard::ByKey(&keys).assignments(24, workers));
+            let backward =
+                owners_by_key(&reversed, &Shard::ByKey(&reversed).assignments(24, workers));
+            assert_eq!(forward, backward, "workers={workers}");
         }
     }
 
@@ -1246,197 +800,18 @@ mod tests {
         // block sizes within one of each other.
         for (len, workers) in [(9usize, 8usize), (11, 8), (13, 5), (24, 7), (8, 8)] {
             let keys = vec![77u64; len];
-            for shard in [Shard::ByKey(&keys), Shard::SplitHotKeys(&keys)] {
-                let assignment = shard.assignments(len, workers);
-                let mut loads = vec![0usize; workers];
-                for &w in &assignment {
-                    loads[w] += 1;
-                }
-                assert!(
-                    loads.iter().all(|&l| l > 0),
-                    "{shard:?} idles workers for {len} items on {workers}: {loads:?}"
-                );
-                let (min, max) = (loads.iter().min().unwrap(), loads.iter().max().unwrap());
-                assert!(max - min <= 1, "{shard:?} unbalanced: {loads:?}");
+            let assignment = Shard::ByKey(&keys).assignments(len, workers);
+            let mut loads = vec![0usize; workers];
+            for &w in &assignment {
+                loads[w] += 1;
             }
+            assert!(
+                loads.iter().all(|&l| l > 0),
+                "idles workers for {len} items on {workers}: {loads:?}"
+            );
+            let (min, max) = (loads.iter().min().unwrap(), loads.iter().max().unwrap());
+            assert!(max - min <= 1, "unbalanced: {loads:?}");
         }
-    }
-
-    #[test]
-    fn split_hot_keys_matches_by_key_when_no_key_is_hot() {
-        // Four keys of equal share at 4 workers: nothing exceeds the
-        // threshold, so the split strategy degenerates to plain ByKey.
-        let keys: Vec<u64> = (0..16).map(|i| i as u64 / 4).collect();
-        assert_eq!(
-            Shard::SplitHotKeys(&keys).assignments(16, 4),
-            Shard::ByKey(&keys).assignments(16, 4)
-        );
-    }
-
-    #[test]
-    fn split_hot_cost_isolates_a_dominant_cost_item() {
-        // One key, 13 items: item 0 costs 100, the rest cost 1. Count-based
-        // splitting would hand the worker owning item 0 a third of the
-        // remaining items too; cost-based splitting must leave the dominant
-        // item alone on its worker while the cheap items spread over the
-        // others.
-        let keys = vec![7u64; 13];
-        let mut costs = vec![1u64; 13];
-        costs[0] = 100;
-        let shard = Shard::SplitHotCost {
-            keys: &keys,
-            costs: &costs,
-        };
-        let assignment = shard.assignments(13, 4);
-        let hot_worker = assignment[0];
-        let companions = assignment[1..].iter().filter(|&&w| w == hot_worker).count();
-        assert_eq!(
-            companions, 0,
-            "dominant-cost item must run alone: {assignment:?}"
-        );
-        // Every worker is busy, and the cheap items spread evenly.
-        let mut loads = [0usize; 4];
-        for &w in &assignment {
-            loads[w] += 1;
-        }
-        assert!(loads.iter().all(|&l| l > 0), "{assignment:?}");
-    }
-
-    #[test]
-    fn cost_strategies_keep_cold_key_locality() {
-        // Two keys of equal modest cost at 2 workers: nothing is hot, so
-        // both cost strategies behave like ByKey — one whole key per
-        // worker, disjoint owner sets.
-        let keys: Vec<u64> = (0..8).map(|i| i as u64 / 4).collect();
-        let costs = vec![3u64; 8];
-        for shard in [
-            Shard::ByCostKeyed {
-                keys: &keys,
-                costs: &costs,
-            },
-            Shard::SplitHotCost {
-                keys: &keys,
-                costs: &costs,
-            },
-        ] {
-            let owners = owners_by_key(&keys, &shard.assignments(8, 2));
-            assert_eq!(owners[0].1.len(), 1, "{shard:?}: {owners:?}");
-            assert_eq!(owners[1].1.len(), 1, "{shard:?}: {owners:?}");
-            assert_ne!(owners[0].1, owners[1].1, "{shard:?}: {owners:?}");
-        }
-    }
-
-    #[test]
-    fn by_cost_keyed_balances_worker_cost_not_item_count() {
-        // Four keys at 2 workers: key 0 costs 90, keys 1-3 cost 10 each.
-        // ByKey's rank % workers puts keys {0, 2} vs {1, 3} => 100 vs 20.
-        // Cost-LPT must pair the expensive key alone against the three
-        // cheap ones: 90 vs 30.
-        let keys: Vec<u64> = (0..8).map(|i| i as u64 / 2).collect();
-        let costs: Vec<u64> = (0..8).map(|i| if i < 2 { 45 } else { 5 }).collect();
-        let shard = Shard::ByCostKeyed {
-            keys: &keys,
-            costs: &costs,
-        };
-        let assignment = shard.assignments(8, 2);
-        let mut worker_cost = [0u64; 2];
-        for (i, &w) in assignment.iter().enumerate() {
-            worker_cost[w] += costs[i];
-        }
-        let worst = worker_cost.iter().max().unwrap();
-        assert_eq!(*worst, 90, "{assignment:?} -> {worker_cost:?}");
-        // And the expensive key kept locality: exactly one owner.
-        let owners = owners_by_key(&keys, &assignment);
-        assert_eq!(owners[0].1.len(), 1, "{owners:?}");
-    }
-
-    #[test]
-    fn cost_ownership_is_a_pure_function_of_the_key_cost_multiset() {
-        // The cost-weighted spelling of the purity property: permuting the
-        // (key, cost) pairs never changes which workers own a key.
-        use crate::rng::SplitMix64;
-        let mut rng = SplitMix64::new(0xC057_C057);
-        for round in 0..200u32 {
-            let len = 2 + (rng.next_u64() % 40) as usize;
-            let distinct = 1 + rng.next_u64() % 5;
-            let pairs: Vec<(u64, u64)> = (0..len)
-                .map(|_| {
-                    let key = (rng.next_u64() % distinct).wrapping_mul(0x9E37_79B9);
-                    let cost = 1 + rng.next_u64() % 50;
-                    (key, cost)
-                })
-                .collect();
-            let mut permuted = pairs.clone();
-            permuted.rotate_left((rng.next_u64() as usize) % len);
-            permuted.reverse();
-            let workers = 1 + (rng.next_u64() % 8) as usize;
-            let unzip = |p: &[(u64, u64)]| -> (Vec<u64>, Vec<u64>) { p.iter().copied().unzip() };
-            let (keys, costs) = unzip(&pairs);
-            let (pkeys, pcosts) = unzip(&permuted);
-            for hot in [false, true] {
-                let shard = |k: &'_ [u64], c: &'_ [u64]| {
-                    if hot {
-                        Shard::SplitHotCost { keys: k, costs: c }.assignments(len, workers)
-                    } else {
-                        Shard::ByCostKeyed { keys: k, costs: c }.assignments(len, workers)
-                    }
-                };
-                let original = owners_by_key(&keys, &shard(&keys, &costs));
-                let shuffled = owners_by_key(&pkeys, &shard(&pkeys, &pcosts));
-                assert_eq!(
-                    original, shuffled,
-                    "round {round}: cost ownership changed under permutation \
-                     (len={len}, workers={workers}, hot={hot})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn cost_strategies_with_uniform_costs_keep_every_worker_busy() {
-        // Uniform costs degrade to count balancing: every worker must stay
-        // busy whenever there are at least as many items as workers.
-        for (len, workers) in [(9usize, 8usize), (11, 8), (13, 5), (24, 7), (8, 8)] {
-            let keys = vec![77u64; len];
-            let costs = vec![5u64; len];
-            for shard in [
-                Shard::ByCostKeyed {
-                    keys: &keys,
-                    costs: &costs,
-                },
-                Shard::SplitHotCost {
-                    keys: &keys,
-                    costs: &costs,
-                },
-            ] {
-                let assignment = shard.assignments(len, workers);
-                let mut loads = vec![0usize; workers];
-                for &w in &assignment {
-                    loads[w] += 1;
-                }
-                assert!(
-                    loads.iter().all(|&l| l > 0),
-                    "{shard:?} idles workers for {len} items on {workers}: {loads:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "shard costs")]
-    fn short_cost_slices_are_rejected() {
-        let keys = [1u64; 5];
-        let costs = [1u64];
-        let mut ctx = [(), ()];
-        let _ = map_indices_with_workers(
-            &mut ctx,
-            5,
-            Shard::ByCostKeyed {
-                keys: &keys,
-                costs: &costs,
-            },
-            |_, i| i,
-        );
     }
 
     #[test]
@@ -1463,22 +838,9 @@ mod tests {
         // every worker count, under every strategy.
         let len = 37usize;
         let keys: Vec<u64> = (0..len).map(|i| (i as u64) % 5).collect();
-        let costs: Vec<u64> = (0..len).map(|i| 1 + (i as u64 % 7) * 13).collect();
         let expected: Vec<u64> = (0..len as u64).map(|i| i * i).collect();
         for workers in [1, 2, 3, 8] {
-            for shard in [
-                Shard::RoundRobin,
-                Shard::ByKey(&keys),
-                Shard::SplitHotKeys(&keys),
-                Shard::ByCostKeyed {
-                    keys: &keys,
-                    costs: &costs,
-                },
-                Shard::SplitHotCost {
-                    keys: &keys,
-                    costs: &costs,
-                },
-            ] {
+            for shard in [Shard::RoundRobin, Shard::ByKey(&keys)] {
                 let mut ctxs = vec![(); workers];
                 let folded = fold_indices_with_workers(
                     &mut ctxs,
@@ -1576,20 +938,7 @@ mod tests {
     #[test]
     fn worker_lists_are_ascending_and_tile_the_input() {
         let keys: Vec<u64> = (0..40).map(|i| [10, 10, 10, 20, 30][i % 5]).collect();
-        let costs: Vec<u64> = (0..40).map(|i| 1 + (i as u64 % 7)).collect();
-        for shard in [
-            Shard::RoundRobin,
-            Shard::ByKey(&keys),
-            Shard::SplitHotKeys(&keys),
-            Shard::ByCostKeyed {
-                keys: &keys,
-                costs: &costs,
-            },
-            Shard::SplitHotCost {
-                keys: &keys,
-                costs: &costs,
-            },
-        ] {
+        for shard in [Shard::RoundRobin, Shard::ByKey(&keys)] {
             for workers in [1usize, 2, 3, 5] {
                 let lists = shard.worker_lists(40, workers);
                 assert_eq!(lists.len(), workers);

@@ -47,3 +47,30 @@ pub use operating_point::{
     TransitionLatency, UncoreOperatingPoint,
 };
 pub use units::{Bandwidth, DataVolume, Energy, Freq, Power, SimTime, Voltage};
+
+/// FNV-1a 64-bit hash — the workspace's deterministic, dependency-free
+/// content hash (platform fingerprints, recipe fingerprints, backoff jitter
+/// seeds). Its values are pinned: recipe fingerprints and journal keys
+/// depend on them.
+#[must_use]
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut hash = 0xCBF2_9CE4_8422_2325u64;
+    for &byte in bytes {
+        hash ^= u64::from(byte);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    hash
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fnv1a64_matches_known_vectors() {
+        // Published FNV-1a 64-bit test vectors.
+        assert_eq!(fnv1a64(b""), 0xCBF2_9CE4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xAF63_DC4C_8601_EC8C);
+        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_F739_67E8);
+    }
+}

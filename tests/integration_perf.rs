@@ -221,9 +221,14 @@ fn folding_a_100k_cell_batch_holds_result_memory_independent_of_cell_count() {
     // Reference scale: materializing the same 100k records holds them all.
     let mut ctxs = vec![(); workers];
     let (materialized_peak, records) = peak_growth_during(|| {
-        exec::map_indices_with_workers(&mut ctxs, 100_000, exec::Shard::RoundRobin, |(), i| {
-            vec![(i % 251) as u8; 256]
-        })
+        exec::fold_indices_with_workers(
+            &mut ctxs,
+            100_000,
+            exec::Shard::RoundRobin,
+            Vec::new,
+            |(), records: &mut Vec<Vec<u8>>, i| records.push(vec![(i % 251) as u8; 256]),
+            |into, from| into.extend(from),
+        )
     });
     assert_eq!(records.len(), 100_000);
     drop(records);

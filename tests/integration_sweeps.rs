@@ -12,10 +12,9 @@
 //!   evaluation figures — is **bit-identical** to the materialized-`RunSet`
 //!   aggregation it replaced, at the same worker counts;
 //! * hash-sharding by platform fingerprint strictly reduces simulator
-//!   rebuilds versus round-robin on a two-platform sweep, and
-//!   `SweepSharding::SplitHotKeys` spreads a dominant platform (>80 % of
-//!   cells) over several workers while still beating round-robin's rebuild
-//!   count;
+//!   rebuilds versus round-robin on a two-platform sweep;
+//! * a pathologically cost-skewed sweep is byte-identical under both
+//!   sharding strategies at 1, 2, and 8 workers;
 //! * the keyed assignment's platform→worker ownership is a pure function
 //!   of the fingerprint multiset and the worker count — permuting member
 //!   insertion order (or the cells themselves) never changes which workers
@@ -327,13 +326,8 @@ fn fold_evaluation_figures_are_bit_identical_to_the_materialized_figures() {
 }
 
 // ---------------------------------------------------------------------------
-// Sharding: ownership purity and hot-platform splitting
+// Sharding: ownership purity
 // ---------------------------------------------------------------------------
-
-/// Both keyed strategies over one key slice.
-fn keyed_strategies(keys: &[u64]) -> [Shard<'_>; 2] {
-    [Shard::ByKey(keys), Shard::SplitHotKeys(keys)]
-}
 
 /// The sorted worker set each distinct key's items land on.
 fn owners_by_key(keys: &[u64], assignment: &[usize]) -> Vec<(u64, Vec<usize>)> {
@@ -375,18 +369,15 @@ fn keyed_worker_ownership_is_a_pure_function_of_fingerprints_and_threads() {
         permuted.rotate_left((rng.next_u64() as usize) % len);
         permuted.reverse();
 
-        for (original_shard, permuted_shard) in keyed_strategies(&keys)
-            .into_iter()
-            .zip(keyed_strategies(&permuted))
-        {
-            let original = owners_by_key(&keys, &original_shard.assignments(len, workers));
-            let shuffled = owners_by_key(&permuted, &permuted_shard.assignments(len, workers));
-            assert_eq!(
-                original, shuffled,
-                "round {round}: {original_shard:?} ownership changed under permutation \
-                 (len={len}, workers={workers})"
-            );
-        }
+        let original = owners_by_key(&keys, &Shard::ByKey(&keys).assignments(len, workers));
+        let shuffled = owners_by_key(
+            &permuted,
+            &Shard::ByKey(&permuted).assignments(len, workers),
+        );
+        assert_eq!(
+            original, shuffled,
+            "round {round}: ownership changed under permutation (len={len}, workers={workers})"
+        );
     }
 }
 
@@ -417,82 +408,20 @@ fn sweep_member_insertion_order_does_not_change_platform_ownership() {
     let backward = keys_of([&config_b, &config_a]);
 
     for workers in [2usize, 3, 8] {
-        for (forward_shard, backward_shard) in keyed_strategies(&forward)
-            .into_iter()
-            .zip(keyed_strategies(&backward))
-        {
-            let fwd = owners_by_key(&forward, &forward_shard.assignments(forward.len(), workers));
-            let bwd = owners_by_key(
-                &backward,
-                &backward_shard.assignments(backward.len(), workers),
-            );
-            assert_eq!(fwd, bwd, "workers={workers} {forward_shard:?}");
-        }
+        let fwd = owners_by_key(
+            &forward,
+            &Shard::ByKey(&forward).assignments(forward.len(), workers),
+        );
+        let bwd = owners_by_key(
+            &backward,
+            &Shard::ByKey(&backward).assignments(backward.len(), workers),
+        );
+        assert_eq!(fwd, bwd, "workers={workers}");
     }
 }
 
-#[test]
-fn split_hot_keys_spreads_a_dominant_platform_and_still_beats_round_robin() {
-    // Platform A owns 20 of 24 cells (>80 %): under ByPlatform its single
-    // worker is the sweep's critical path. SplitHotKeys must spread A over
-    // both workers (one extra simulator build) while still rebuilding less
-    // than round-robin — and all three strategies stay byte-identical.
-    let config_a = SocConfig::skylake_default();
-    let config_b = SocConfig::skylake_m_6y75(Power::from_watts(9.0));
-    let hot_workloads: Vec<_> = ["gamess", "lbm", "astar", "milc", "namd"]
-        .iter()
-        .map(|n| spec_workload(n).unwrap())
-        .collect();
-    let cold_workloads = vec![
-        spec_workload("gamess").unwrap(),
-        spec_workload("lbm").unwrap(),
-    ];
-    let mut sweep = SweepSet::new();
-    // 5 workloads x {baseline, md-dvfs, sysscale, sysscale-no-redist} on A
-    // = 20 cells (all four governors share the full platform).
-    sweep.push_set(
-        ScenarioSet::matrix(
-            &config_a,
-            &hot_workloads,
-            &["baseline", "md-dvfs", "sysscale", "sysscale-no-redist"],
-        )
-        .unwrap(),
-    );
-    // 2 workloads x {baseline, md-dvfs} on B = 4 cells.
-    sweep.push_set(
-        ScenarioSet::matrix(&config_b, &cold_workloads, &["baseline", "md-dvfs"]).unwrap(),
-    );
-    assert_eq!(sweep.cells(), 24);
-
-    let mut rr_pool = SessionPool::new();
-    let rr = sweep
-        .run_parallel_sharded(&mut rr_pool, 2, SweepSharding::RoundRobin)
-        .unwrap();
-    let mut keyed_pool = SessionPool::new();
-    let keyed = sweep
-        .run_parallel_sharded(&mut keyed_pool, 2, SweepSharding::ByPlatform)
-        .unwrap();
-    let mut split_pool = SessionPool::new();
-    let split = sweep
-        .run_parallel_sharded(&mut split_pool, 2, SweepSharding::SplitHotKeys)
-        .unwrap();
-
-    assert_eq!(rr, keyed);
-    assert_eq!(rr, split);
-
-    // Round-robin: both platforms on both workers (4 builds). ByPlatform:
-    // one worker per platform (2 builds). SplitHotKeys: the hot platform on
-    // both workers, the cold one on one (3 builds) — the hot platform is
-    // demonstrably assigned to >= 2 workers, and the rebuild-reduction
-    // assertion versus round-robin still holds.
-    assert_eq!(rr_pool.cached_platforms(), 4);
-    assert_eq!(keyed_pool.cached_platforms(), 2);
-    assert_eq!(split_pool.cached_platforms(), 3);
-    assert!(split_pool.cached_platforms() < rr_pool.cached_platforms());
-}
-
 // ---------------------------------------------------------------------------
-// Cost-model-driven scheduling
+// Cost model
 // ---------------------------------------------------------------------------
 
 /// A pathologically skewed single-platform set: `short_cells` short-horizon
@@ -521,10 +450,10 @@ fn skewed_set(short_cells: usize) -> ScenarioSet {
 }
 
 #[test]
-fn cost_sharded_sweeps_are_byte_identical_to_count_sharded_at_every_worker_count() {
-    // The tentpole's determinism contract on the pathological-skew shape:
-    // weighting the schedule by estimated cost must not change a single
-    // byte of the results relative to any count-based strategy, at 1, 2,
+fn skewed_sweeps_are_byte_identical_under_both_shardings() {
+    // The determinism contract on the pathological-skew shape: where the
+    // one expensive cell lands must not change a single byte of the
+    // results relative to the one-worker round-robin reference, at 1, 2,
     // and 8 workers.
     let set = skewed_set(24);
     let costs = set.cell_costs();
@@ -544,13 +473,13 @@ fn cost_sharded_sweeps_are_byte_identical_to_count_sharded_at_every_worker_count
         .unwrap();
 
     for threads in [1, 2, 8] {
-        for sharding in [SweepSharding::ByCost, SweepSharding::SplitHotCost] {
+        for sharding in [SweepSharding::ByPlatform, SweepSharding::RoundRobin] {
             let got = sweep
                 .run_parallel_sharded(&mut SessionPool::new(), threads, sharding)
                 .unwrap();
             assert_eq!(
                 got, reference,
-                "{sharding:?} diverged from count-sharded at {threads} workers"
+                "{sharding:?} diverged from the reference at {threads} workers"
             );
             assert_eq!(format!("{got:?}"), format!("{reference:?}"));
         }
@@ -675,79 +604,6 @@ fn spearman_rank_correlation(a: &[f64], b: &[f64]) -> f64 {
         var_b += (y - mean) * (y - mean);
     }
     cov / (var_a.sqrt() * var_b.sqrt())
-}
-
-/// The sorted worker set each distinct `(key, cost)` class's items land on.
-fn owners_by_cost_class(
-    keys: &[u64],
-    costs: &[u64],
-    assignment: &[usize],
-) -> Vec<((u64, u64), Vec<usize>)> {
-    let mut classes: Vec<(u64, u64)> = keys.iter().copied().zip(costs.iter().copied()).collect();
-    classes.sort_unstable();
-    classes.dedup();
-    classes
-        .into_iter()
-        .map(|class| {
-            let mut workers: Vec<usize> = keys
-                .iter()
-                .zip(costs)
-                .zip(assignment)
-                .filter(|((k, c), _)| (**k, **c) == class)
-                .map(|(_, w)| *w)
-                .collect();
-            workers.sort_unstable();
-            workers.dedup();
-            (class, workers)
-        })
-        .collect()
-}
-
-#[test]
-fn cost_weighted_ownership_is_a_pure_function_of_the_key_cost_multiset() {
-    // The cost-weighted mirror of the keyed purity property: permuting the
-    // cells must not change which workers own a `(key, cost)` class —
-    // ranking is by key value and canonical (cost-descending) order within
-    // a key, never by first appearance.
-    let mut rng = SplitMix64::new(0x0C05_70BD);
-    for round in 0..500u32 {
-        let len = 2 + (rng.next_u64() % 48) as usize;
-        let distinct = 1 + rng.next_u64() % 6;
-        let keys: Vec<u64> = (0..len)
-            .map(|_| (rng.next_u64() % distinct).wrapping_mul(0x9E37_79B9_97F4_A7C1))
-            .collect();
-        // Few distinct cost levels, so equal-cost collisions inside a key
-        // are common — the case a naive first-appearance split gets wrong.
-        let costs: Vec<u64> = (0..len).map(|_| 1 + rng.next_u64() % 5).collect();
-        let workers = 1 + (rng.next_u64() % 8) as usize;
-
-        let mut order: Vec<usize> = (0..len).collect();
-        order.rotate_left((rng.next_u64() as usize) % len);
-        order.reverse();
-        let permuted_keys: Vec<u64> = order.iter().map(|&i| keys[i]).collect();
-        let permuted_costs: Vec<u64> = order.iter().map(|&i| costs[i]).collect();
-
-        for split_hot in [false, true] {
-            let shard = |k: &[u64], c: &[u64]| {
-                if split_hot {
-                    Shard::SplitHotCost { keys: k, costs: c }.assignments(len, workers)
-                } else {
-                    Shard::ByCostKeyed { keys: k, costs: c }.assignments(len, workers)
-                }
-            };
-            let original = owners_by_cost_class(&keys, &costs, &shard(&keys, &costs));
-            let shuffled = owners_by_cost_class(
-                &permuted_keys,
-                &permuted_costs,
-                &shard(&permuted_keys, &permuted_costs),
-            );
-            assert_eq!(
-                original, shuffled,
-                "round {round}: split_hot={split_hot} ownership changed under \
-                 permutation (len={len}, workers={workers})"
-            );
-        }
-    }
 }
 
 #[test]
