@@ -88,8 +88,8 @@ pub use recipe::{
     sweep_from_sets, GovernorSpec, MatrixRecipe, PlatformSpec, SweepRecipe, WorkloadsSpec,
 };
 pub use serve::{
-    assess_stages, degradation_point, BusyShed, LoadAssessment, RequestSample, ServeClient,
-    ServeError, ServeEvent, ServeOptions, ServeStats, StressMetrics, SweepOutcome, SweepService,
+    BusyShed, RequestSample, ServeClient, ServeError, ServeEvent, ServeOptions, ServeStats,
+    StressMetrics, SweepOutcome, SweepService,
 };
 pub use wire::{Dec, Enc, WireError};
 pub use worker::{worker_main, FAULT_ENV, HANG_ENV, POISON_CRASH_ENV, POISON_FLAT_ENV};

@@ -46,9 +46,7 @@
 //! Queueing delay and execution time are measured per request into
 //! [`RequestSample`]s, which [`StressMetrics::from_samples`] reduces to
 //! the llamaburn-style load summary (requests/sec, p50/p95/p99/p999
-//! latency, error rate) that the stress bench emits as
-//! `{"kind":"stress_perf"}` records; [`assess_stages`] layers
-//! degradation/recovery detection on a staged schedule.
+//! latency, error rate) that [`ServeStats::metrics`] reports.
 //!
 //! ## Progress snapshots
 //!
@@ -1366,7 +1364,7 @@ impl ServeStats {
 }
 
 /// The llamaburn-style load summary: throughput, latency percentiles,
-/// error rate — the payload of a `{"kind":"stress_perf"}` bench record.
+/// error rate.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StressMetrics {
     /// Requests measured.
@@ -1392,9 +1390,6 @@ pub struct StressMetrics {
     pub queue_share: f64,
     /// `errors / requests` (0 when no requests).
     pub error_rate: f64,
-    /// The observation window, milliseconds — what
-    /// [`LoadAssessment::recovery_ms`] sums over stages.
-    pub wall_ms: f64,
 }
 
 impl StressMetrics {
@@ -1436,66 +1431,7 @@ impl StressMetrics {
             } else {
                 errors as f64 / requests as f64
             },
-            wall_ms: wall_micros as f64 / 1e3,
         }
-    }
-}
-
-/// Detects the degradation point of a rising-load schedule: the first
-/// stage whose p95 latency exceeds 4× the first stage's (plus a 2ms floor,
-/// so microsecond-scale baselines don't trip on noise) or that saw any
-/// errors. `None` while the service degrades gracefully.
-#[must_use]
-pub fn degradation_point(stages: &[StressMetrics]) -> Option<usize> {
-    let baseline = stages.first()?;
-    let threshold = baseline.p95_latency_ms * 4.0 + 2.0;
-    stages
-        .iter()
-        .position(|stage| stage.errors > 0 || stage.p95_latency_ms > threshold)
-}
-
-/// Degradation **and** recovery over a staged load schedule — what
-/// [`assess_stages`] computes from a fall-then-rise schedule's per-stage
-/// [`StressMetrics`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LoadAssessment {
-    /// First degraded stage ([`degradation_point`]); `None` when the
-    /// whole schedule stayed healthy.
-    pub degradation_stage: Option<usize>,
-    /// First post-degradation stage whose p95 is back within the
-    /// baseline threshold with zero errors; `None` when the service
-    /// never recovered (or never degraded).
-    pub recovery_stage: Option<usize>,
-    /// Wall time spent degraded: the sum of [`StressMetrics::wall_ms`]
-    /// over stages `[degradation..recovery)` (through the schedule's end
-    /// when recovery never came); 0 when nothing degraded.
-    pub recovery_ms: f64,
-}
-
-/// Assesses a staged schedule for degradation and recovery, using the
-/// same threshold as [`degradation_point`] (first stage's p95 × 4 + 2ms).
-#[must_use]
-pub fn assess_stages(stages: &[StressMetrics]) -> LoadAssessment {
-    let degradation_stage = degradation_point(stages);
-    let (recovery_stage, recovery_ms) = match degradation_stage {
-        None => (None, 0.0),
-        Some(degraded) => {
-            let threshold = stages[0].p95_latency_ms * 4.0 + 2.0;
-            let recovered = stages
-                .iter()
-                .enumerate()
-                .skip(degraded + 1)
-                .find(|(_, stage)| stage.errors == 0 && stage.p95_latency_ms <= threshold)
-                .map(|(index, _)| index);
-            let end = recovered.unwrap_or(stages.len());
-            let degraded_ms = stages[degraded..end].iter().map(|s| s.wall_ms).sum();
-            (recovered, degraded_ms)
-        }
-    };
-    LoadAssessment {
-        degradation_stage,
-        recovery_stage,
-        recovery_ms,
     }
 }
 
@@ -1541,66 +1477,6 @@ mod tests {
         assert_eq!(metrics.error_rate, 0.0);
     }
 
-    fn stage(p95_ms: f64, errors: u64) -> StressMetrics {
-        StressMetrics {
-            requests: 10,
-            errors,
-            requests_per_sec: 1.0,
-            cells_per_sec: 4.0,
-            p50_latency_ms: p95_ms / 2.0,
-            p95_latency_ms: p95_ms,
-            p99_latency_ms: p95_ms,
-            p999_latency_ms: p95_ms,
-            queue_share: 0.1,
-            error_rate: errors as f64 / 10.0,
-            wall_ms: 1000.0,
-        }
-    }
-
-    #[test]
-    fn degradation_point_finds_the_first_bad_stage() {
-        // Graceful: latency grows but stays under 4x + 2ms.
-        assert_eq!(
-            degradation_point(&[stage(1.0, 0), stage(3.0, 0), stage(5.0, 0)]),
-            None
-        );
-        // Latency blowup at stage 2.
-        assert_eq!(
-            degradation_point(&[stage(1.0, 0), stage(2.0, 0), stage(10.0, 0)]),
-            Some(2)
-        );
-        // Errors trump latency.
-        assert_eq!(
-            degradation_point(&[stage(1.0, 0), stage(1.5, 1), stage(1.0, 0)]),
-            Some(1)
-        );
-        assert_eq!(degradation_point(&[]), None);
-    }
-
-    #[test]
-    fn assess_stages_reports_recovery_and_time_degraded() {
-        // Healthy end to end: nothing degrades, nothing to recover from.
-        let healthy = assess_stages(&[stage(1.0, 0), stage(2.0, 0)]);
-        assert_eq!(healthy.degradation_stage, None);
-        assert_eq!(healthy.recovery_stage, None);
-        assert_eq!(healthy.recovery_ms, 0.0);
-
-        // Fall-then-rise: degrades at stage 1, p95 back within the
-        // threshold (1.0 * 4 + 2 = 6ms) at stage 3 — two degraded stages.
-        let recovered =
-            assess_stages(&[stage(1.0, 0), stage(10.0, 0), stage(8.0, 0), stage(2.0, 0)]);
-        assert_eq!(recovered.degradation_stage, Some(1));
-        assert_eq!(recovered.recovery_stage, Some(3));
-        assert!((recovered.recovery_ms - 2000.0).abs() < 1e-9);
-
-        // A post-degradation stage with errors is not a recovery even
-        // with good latency.
-        let errored = assess_stages(&[stage(1.0, 0), stage(10.0, 0), stage(1.0, 1)]);
-        assert_eq!(errored.degradation_stage, Some(1));
-        assert_eq!(errored.recovery_stage, None);
-        assert!((errored.recovery_ms - 2000.0).abs() < 1e-9);
-    }
-
     #[test]
     fn queue_share_reflects_admission_contention_not_pickup_wait() {
         // Regression: every sample waited in the queue (queued_micros > 0)
@@ -1611,7 +1487,6 @@ mod tests {
         assert!(idle.iter().all(|s| s.queued_micros > 0));
         let metrics = StressMetrics::from_samples(&idle, 1_000_000);
         assert_eq!(metrics.queue_share, 0.0);
-        assert!((metrics.wall_ms - 1000.0).abs() < 1e-9);
 
         // A third of the admissions saw another submission in flight.
         let mut mixed = idle;

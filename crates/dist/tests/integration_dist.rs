@@ -68,6 +68,11 @@ fn assert_clean(stats: &DistStats, cells: u64) {
         "one process per slot, no respawns"
     );
     assert!(stats.heartbeats > 0, "workers must signal liveness");
+    // A healthy run exercises none of the robustness machinery.
+    assert_eq!(stats.frames_rejected, 0);
+    assert_eq!(stats.quarantined_cells, 0);
+    assert_eq!(stats.journal_resumes, 0);
+    assert_eq!(stats.retries, 0);
 }
 
 #[test]

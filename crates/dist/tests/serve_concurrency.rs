@@ -422,3 +422,98 @@ fn admission_bound_sheds_busy_as_a_typed_retryable_error() {
     assert_eq!(stats.submissions, 2, "shed submissions are not admitted");
     assert_eq!(stats.errors, 0, "busy is not an error");
 }
+
+/// Nearest-rank percentile of request latencies, in milliseconds.
+fn percentile_ms(latencies_micros: &mut [u64], q: f64) -> f64 {
+    latencies_micros.sort_unstable();
+    let rank =
+        ((q * latencies_micros.len() as f64).ceil() as usize).clamp(1, latencies_micros.len());
+    latencies_micros[rank - 1] as f64 / 1e3
+}
+
+/// One mixed-load run: the big sweep, then, once it is admitted,
+/// `small_requests` sequential small sweeps on a second connection.
+/// Returns the big sweep's latency and the small sweeps' latencies, in
+/// microseconds.
+fn run_mixed(
+    workers: usize,
+    big: &SweepRecipe,
+    big_expected: &[(usize, RunRecord)],
+    small: &SweepRecipe,
+    small_expected: &[(usize, RunRecord)],
+    small_requests: usize,
+) -> (u64, Vec<u64>) {
+    let service = SweepService::start(&ServeOptions {
+        workers,
+        ..ServeOptions::default()
+    });
+    let mut big_client = service.connect();
+    let mut small_client = service.connect();
+    let big_id = big_client.submit(big, 0).expect("submit big");
+    // Every small sweep arrives with the big sweep holding a depth slot.
+    let accepted = big_client.recv().expect("recv").expect("server alive");
+    assert!(
+        matches!(accepted, ServeEvent::Accepted { submit_id, .. } if submit_id == big_id),
+        "first frame must be the big sweep's Accepted"
+    );
+    for _ in 0..small_requests {
+        let outcome = small_client.run_sweep(small, 0).expect("small sweep");
+        assert_eq!(
+            outcome.result().expect("healthy small sweep"),
+            small_expected
+        );
+    }
+    let outcomes = big_client.collect(&[big_id]).expect("collect big");
+    assert_eq!(
+        outcomes[&big_id].result().expect("healthy big sweep"),
+        big_expected
+    );
+    big_client.close();
+    small_client.close();
+    let stats = service.shutdown();
+    assert_eq!(stats.errors, 0);
+    assert_eq!(stats.busy_shed, 0);
+
+    let latencies = |cells: usize| {
+        stats
+            .samples
+            .iter()
+            .filter(move |s| s.cells == cells as u64)
+            .map(|s| s.total_micros)
+    };
+    let big_micros = latencies(big.total_cells()).next().expect("big sample");
+    let small_micros: Vec<u64> = latencies(small.total_cells()).collect();
+    assert_eq!(small_micros.len(), small_requests);
+    (big_micros, small_micros)
+}
+
+/// The cost-aware scheduler's headline under mixed load: the small-sweep
+/// p95 beside an in-flight big sweep is at most half the big sweep's solo
+/// latency, which is what a first-come-first-served queue would make the
+/// first small sweep wait. With 8 small sweeps the nearest-rank p95 is the
+/// slowest of them. A wall-clock ratio, so it is ignored by default and run
+/// on its own with `-- --ignored --test-threads=1`.
+#[test]
+#[ignore = "timing ratio; run alone with --ignored --test-threads=1"]
+fn small_sweep_p95_is_at_most_half_the_fifo_wait_under_mixed_load() {
+    let workers = sysscale_types::exec::default_threads();
+    let big = population_recipe(52);
+    let small = tiny_recipe(4.5);
+    let (big_expected, small_expected) = (in_process(&big), in_process(&small));
+
+    let (solo_big_micros, _) = run_mixed(workers, &big, &big_expected, &small, &small_expected, 0);
+    let (_, mut small_micros) = run_mixed(workers, &big, &big_expected, &small, &small_expected, 8);
+    let fifo_wait_ms = solo_big_micros as f64 / 1e3;
+    let p50 = percentile_ms(&mut small_micros, 0.50);
+    let p95 = percentile_ms(&mut small_micros, 0.95);
+    println!(
+        "mixed load at {workers} workers: solo big {fifo_wait_ms:.1} ms, shared small p95 \
+         {p95:.1} ms (p50 {p50:.1} ms), {:.1}x",
+        fifo_wait_ms / p95
+    );
+    assert!(0.0 < p50 && p50 <= p95, "p50 {p50} ms, p95 {p95} ms");
+    assert!(
+        fifo_wait_ms >= 2.0 * p95,
+        "solo big {fifo_wait_ms:.1} ms < 2 x shared small p95 {p95:.1} ms"
+    );
+}

@@ -6,8 +6,10 @@
 //! fold-based result pipeline holds peak result memory O(workers) — flat in
 //! the cell count — where the materializing path grows O(cells).
 //!
-//! The allocator counters are process-global, so this file's tests serialize
-//! on one mutex instead of relying on `--test-threads=1`.
+//! Allocation counts are per thread, so no other thread can land in a
+//! counting window. Live and peak bytes are process-global (the fold tests
+//! measure across worker threads), so this file's tests serialize on one
+//! mutex instead of relying on `--test-threads=1`.
 
 use std::sync::Mutex;
 
@@ -22,7 +24,7 @@ use sysscale_workloads::{spec_workload, PopulationSource, WorkloadSource};
 #[global_allocator]
 static ALLOCATOR: TrackingAllocator = TrackingAllocator;
 
-/// Serializes the allocator-observing tests (the counters are global).
+/// Serializes the allocator-observing tests (the byte counters are global).
 static COUNTER_LOCK: Mutex<()> = Mutex::new(());
 
 #[test]

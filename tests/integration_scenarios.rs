@@ -182,6 +182,17 @@ fn run_parallel_is_bit_identical_to_sequential_at_every_thread_count() {
         // snapshotting.
         assert_eq!(format!("{sequential:?}"), format!("{parallel:?}"));
     }
+    // The memory fixed point runs at least once and at most four times per
+    // slice.
+    for r in sequential.records() {
+        let iters = r.report.loop_stats.iters_per_slice();
+        assert!(
+            (1.0..=4.0).contains(&iters),
+            "{}/{}: {iters} fixed-point iterations per slice",
+            r.workload,
+            r.governor
+        );
+    }
 }
 
 #[test]
