@@ -8,25 +8,62 @@
 //! Available targets: `table1 table2 fig2a fig2b fig2c fig3a fig3b fig4 fig6
 //! fig7 fig8 fig9 fig10 dram_sens overheads ablations all`.
 
-use sysscale::experiments::{evaluation, motivation, predictor_study, sensitivity};
-use sysscale::{calibrate, CalibrationConfig, DemandPredictor, SocConfig};
+use sysscale::experiments::evaluation::{self, PowerReductionFigure, SpeedupFigure};
+use sysscale::experiments::{motivation, predictor_study, sensitivity};
+use sysscale::types::exec;
+use sysscale::{calibrate, CalibrationConfig, DemandPredictor, SessionPool, SocConfig};
 use sysscale_bench as fmt;
 use sysscale_workloads::WorkloadGenerator;
 
-fn predictor(config: &SocConfig, quick: bool) -> DemandPredictor {
-    if quick {
-        return DemandPredictor::skylake_default();
+type Error = Box<dyn std::error::Error>;
+
+/// What the targets of one invocation share: one session pool and worker
+/// count, plus the calibrated predictor and Figs. 7/8/9, each computed the
+/// first time a target needs it.
+struct Figures {
+    config: SocConfig,
+    pool: SessionPool,
+    threads: usize,
+    predictor: Option<DemandPredictor>,
+    evaluation: Option<(SpeedupFigure, SpeedupFigure, PowerReductionFigure)>,
+}
+
+impl Figures {
+    /// The predictor calibrated on a synthetic representative population
+    /// (Sec. 4.2).
+    fn predictor(&mut self) -> Result<DemandPredictor, Error> {
+        if let Some(predictor) = self.predictor {
+            return Ok(predictor);
+        }
+        let population = WorkloadGenerator::with_seed(2020).population(120);
+        let predictor =
+            calibrate(&self.config, &population, &CalibrationConfig::default())?.predictor();
+        Ok(*self.predictor.insert(predictor))
     }
-    // Calibrate on a synthetic representative population (Sec. 4.2).
-    let population = WorkloadGenerator::with_seed(2020).population(120);
-    match calibrate(config, &population, &CalibrationConfig::default()) {
-        Ok(outcome) => outcome.predictor(),
-        Err(_) => DemandPredictor::skylake_default(),
+
+    /// Figs. 7, 8 and 9, from one run of the main evaluation.
+    fn evaluation(
+        &mut self,
+    ) -> Result<&(SpeedupFigure, SpeedupFigure, PowerReductionFigure), Error> {
+        let figures = match self.evaluation.take() {
+            Some(figures) => figures,
+            None => {
+                let predictor = self.predictor()?;
+                evaluation::evaluation_figures_fold_in(
+                    &mut self.pool,
+                    self.threads,
+                    &self.config,
+                    &predictor,
+                )?
+            }
+        };
+        Ok(self.evaluation.insert(figures))
     }
 }
 
 #[allow(clippy::too_many_lines)]
-fn run(target: &str, config: &SocConfig, quick: bool) -> Result<(), Box<dyn std::error::Error>> {
+fn run(target: &str, figures: &mut Figures) -> Result<(), Error> {
+    let config = &figures.config;
     match target {
         "table1" => print!("{}", fmt::format_table1(&motivation::table1(config))),
         "table2" => print!("{}", fmt::format_table2(config)),
@@ -69,53 +106,42 @@ fn run(target: &str, config: &SocConfig, quick: bool) -> Result<(), Box<dyn std:
         "fig4" => print!("{}", fmt::format_fig4(&motivation::fig4(config)?)),
         "fig6" => {
             let study = predictor_study::PredictorStudyConfig {
-                workloads_per_panel: if quick { 30 } else { 180 },
+                workloads_per_panel: 180,
                 ..predictor_study::PredictorStudyConfig::default()
             };
-            print!(
-                "{}",
-                fmt::format_fig6(&predictor_study::fig6(config, &study)?)
-            );
+            let panels =
+                predictor_study::fig6_in(&mut figures.pool, figures.threads, config, &study)?;
+            print!("{}", fmt::format_fig6(&panels));
         }
-        "fig7" => {
-            let p = predictor(config, quick);
-            print!(
-                "{}",
-                fmt::format_speedup_figure(
-                    "Fig. 7 — SPEC CPU2006 performance improvement",
-                    &evaluation::fig7(config, &p)?
-                )
-            );
-        }
-        "fig8" => {
-            let p = predictor(config, quick);
-            print!(
-                "{}",
-                fmt::format_speedup_figure(
-                    "Fig. 8 — graphics performance improvement",
-                    &evaluation::fig8(config, &p)?
-                )
-            );
-        }
-        "fig9" => {
-            let p = predictor(config, quick);
-            print!("{}", fmt::format_fig9(&evaluation::fig9(config, &p)?));
-        }
+        "fig7" => print!(
+            "{}",
+            fmt::format_speedup_figure(
+                "Fig. 7 — SPEC CPU2006 performance improvement",
+                &figures.evaluation()?.0
+            )
+        ),
+        "fig8" => print!(
+            "{}",
+            fmt::format_speedup_figure(
+                "Fig. 8 — graphics performance improvement",
+                &figures.evaluation()?.1
+            )
+        ),
+        "fig9" => print!("{}", fmt::format_fig9(&figures.evaluation()?.2)),
         "fig10" => {
-            let p = predictor(config, quick);
+            let p = figures.predictor()?;
             let tdps = [3.5, 4.5, 7.0, 15.0];
-            print!("{}", fmt::format_fig10(&sensitivity::fig10(&p, &tdps)?));
+            let points = sensitivity::fig10_fold_in(&mut figures.pool, figures.threads, &p, &tdps)?;
+            print!("{}", fmt::format_fig10(&points));
         }
         "dram_sens" => {
-            let p = predictor(config, quick);
-            print!(
-                "{}",
-                fmt::format_dram_sensitivity(&sensitivity::dram_sensitivity(&p)?)
-            );
+            let p = figures.predictor()?;
+            let result = sensitivity::dram_sensitivity_in(&mut figures.pool, figures.threads, &p)?;
+            print!("{}", fmt::format_dram_sensitivity(&result));
         }
         "overheads" => print!("{}", fmt::format_overheads(&sensitivity::overheads())),
         "ablations" => {
-            let p = predictor(config, quick);
+            let p = figures.predictor()?;
             print!("{}", fmt::format_ablations(&sensitivity::ablations(&p)?));
         }
         other => return Err(format!("unknown figure target '{other}'").into()),
@@ -124,10 +150,11 @@ fn run(target: &str, config: &SocConfig, quick: bool) -> Result<(), Box<dyn std:
     Ok(())
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let targets: Vec<String> = args.into_iter().filter(|a| !a.starts_with("--")).collect();
+fn main() -> Result<(), Error> {
+    let targets: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(flag) = targets.iter().find(|a| a.starts_with("--")) {
+        return Err(format!("unknown flag '{flag}'").into());
+    }
     let all = [
         "table1",
         "table2",
@@ -151,9 +178,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     } else {
         targets.iter().map(String::as_str).collect()
     };
-    let config = SocConfig::skylake_default();
+    let mut figures = Figures {
+        config: SocConfig::skylake_default(),
+        pool: SessionPool::new(),
+        threads: exec::default_threads(),
+        predictor: None,
+        evaluation: None,
+    };
     for target in selected {
-        run(target, &config, quick)?;
+        run(target, &mut figures)?;
     }
     Ok(())
 }

@@ -17,7 +17,7 @@ use sysscale_workloads::{Workload, WorkloadClass, WorkloadSource};
 use crate::predictor::{DemandPredictor, ImpactModel, PredictorThresholds};
 use crate::scenario::{
     platform_fingerprint, CellId, GovernorFactory, GovernorRegistry, GroupFold, RunRecord, RunSet,
-    Scenario, ScenarioSource, SessionPool, SimSession, SweepSet,
+    Scenario, ScenarioSource, SessionPool, SweepSet,
 };
 use std::sync::Arc;
 use sysscale_soc::SimReport;
@@ -75,57 +75,6 @@ impl CalibrationOutcome {
     pub fn predictor(&self) -> DemandPredictor {
         DemandPredictor::new(self.thresholds, self.impact_model)
     }
-}
-
-/// Runs one workload at both ends of the ladder and produces its calibration
-/// sample.
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn measure_sample(
-    config: &SocConfig,
-    workload: &Workload,
-    cal: &CalibrationConfig,
-) -> SimResult<CalibrationSample> {
-    measure_sample_in(&mut SimSession::new(), config, workload, cal)
-}
-
-/// Like [`measure_sample`], but reuses a caller-provided session so large
-/// calibration populations share one simulator per platform configuration.
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn measure_sample_in(
-    session: &mut SimSession,
-    config: &SocConfig,
-    workload: &Workload,
-    cal: &CalibrationConfig,
-) -> SimResult<CalibrationSample> {
-    let run = |session: &mut SimSession, governor: &str| -> SimResult<_> {
-        let scenario = Scenario::builder(workload.clone())
-            .config(config.clone())
-            .governor(governor)
-            .duration(cal.sim_duration)
-            .build()?;
-        Ok(session.run(&scenario)?.report)
-    };
-    let high = run(session, "baseline")?;
-    let low = run(session, "md-dvfs")?;
-    Ok(sample_from_reports(workload, config, cal, &high, &low))
-}
-
-/// Builds one calibration sample from the measured high-point and low-point
-/// reports of a workload.
-fn sample_from_reports(
-    workload: &Workload,
-    config: &SocConfig,
-    cal: &CalibrationConfig,
-    high: &SimReport,
-    low: &SimReport,
-) -> CalibrationSample {
-    sample_from_parts(&workload.name, workload.class, config, cal, high, low)
 }
 
 /// The single definition of the pair → sample reduction, shared by the
@@ -230,7 +179,7 @@ impl ScenarioSource for CalibrationScenarioSource<'_> {
 }
 
 /// Builds the streaming calibration source for a population: the exact cell
-/// sequence [`measure_population`] runs, as a [`ScenarioSource`].
+/// sequence [`measure_population_from`] runs, as a [`ScenarioSource`].
 ///
 /// # Errors
 ///
@@ -286,7 +235,7 @@ pub fn samples_from_runs(
         .map(|(i, workload)| {
             let high = &runs.records()[2 * i].report;
             let low = &runs.records()[2 * i + 1].report;
-            sample_from_reports(&workload, config, cal, high, low)
+            sample_from_parts(&workload.name, workload.class, config, cal, high, low)
         })
         .collect()
 }
@@ -348,31 +297,12 @@ pub(crate) fn sample_fold_consumer(
 /// one parallel batch on the caller's [`SessionPool`] and returns one
 /// [`CalibrationSample`] per workload, in population order.
 ///
-/// This is the batch form of [`measure_sample_in`]: both spellings produce
-/// identical samples (the parallel runner is deterministic), but the batch
-/// shards the `2 × population` runs across `threads` workers.
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn measure_population(
-    pool: &mut SessionPool,
-    config: &SocConfig,
-    population: &[Workload],
-    cal: &CalibrationConfig,
-    threads: usize,
-) -> SimResult<Vec<CalibrationSample>> {
-    measure_population_from(pool, config, &population, cal, threads)
-}
-
-/// Like [`measure_population`], but over any [`WorkloadSource`] — including
-/// generator-backed streams, which are produced on the fly per shard so a
+/// The population is any [`WorkloadSource`] — a slice, or a
+/// generator-backed stream produced on the fly per shard, so a
 /// million-cell synthetic population runs in O(workers) workload memory.
-///
-/// Since the fold refactor this path never materializes a `RunSet` either:
-/// the sweep folds each workload's high/low pair into its
-/// [`CalibrationSample`] the moment both halves have run
-/// ([`SweepSet::run_parallel_fold`]), so *result* memory is the sample
+/// No `RunSet` is materialized either: the sweep folds each workload's
+/// high/low pair into its [`CalibrationSample`] the moment both halves have
+/// run ([`SweepSet::run_parallel_fold`]), so *result* memory is the sample
 /// vector plus O(in-flight pairs) instead of `2 × population` full
 /// records. The samples are bit-identical to the materialized reference —
 /// [`calibration_source`] + [`SweepSet::run_parallel`] +
@@ -413,10 +343,10 @@ pub fn calibrate(
     population: &[Workload],
     cal: &CalibrationConfig,
 ) -> SimResult<CalibrationOutcome> {
-    let samples = measure_population(
+    let samples = measure_population_from(
         &mut SessionPool::new(),
         config,
-        population,
+        &population,
         cal,
         exec::default_threads(),
     )?;
@@ -579,8 +509,19 @@ mod tests {
     fn measured_samples_separate_memory_bound_from_core_bound() {
         let config = SocConfig::skylake_default();
         let cal = quick_cal();
-        let lbm = measure_sample(&config, &spec_workload("lbm").unwrap(), &cal).unwrap();
-        let gamess = measure_sample(&config, &spec_workload("gamess").unwrap(), &cal).unwrap();
+        let population = vec![
+            spec_workload("lbm").unwrap(),
+            spec_workload("gamess").unwrap(),
+        ];
+        let samples = measure_population_from(
+            &mut SessionPool::new(),
+            &config,
+            &population,
+            &cal,
+            exec::default_threads(),
+        )
+        .unwrap();
+        let (lbm, gamess) = (&samples[0], &samples[1]);
         assert!(
             lbm.actual_degradation > 0.05,
             "lbm {}",

@@ -2,21 +2,21 @@
 //! (battery-life workloads), comparing SysScale against the projected
 //! MemScale-Redist and CoScale-Redist baselines.
 //!
-//! Every figure is one [`ScenarioSet`] execution: the full
-//! `workloads × {baseline, sysscale, memscale, coscale}` matrix runs through
-//! a single [`ScenarioSet::run`] call and the rows are read off the
-//! resulting [`RunSet`].
+//! All three figures come from one call, [`evaluation_figures_fold_in`]:
+//! the three suites' `workloads × {baseline, sysscale, memscale, coscale}`
+//! matrices run as a single sharded sweep, and each workload's four runs
+//! fold into its figure row as soon as the last one finishes.
 
 use sysscale_compute::CpuModel;
 use sysscale_soc::SocConfig;
-use sysscale_types::{exec, stats, Freq, SimResult, SimTime};
+use sysscale_types::{stats, Freq, SimResult, SimTime};
 use sysscale_workloads::{battery_life_suite, graphics_suite, spec_cpu2006_suite, Workload};
 
 use crate::baselines::project_redistributed_speedup;
 use crate::predictor::DemandPredictor;
 use crate::scenario::{
-    sysscale_factory, CellId, GovernorRegistry, GroupFold, RunRecord, RunSet, ScenarioSet,
-    SessionPool, SweepSet,
+    sysscale_factory, CellId, GovernorRegistry, GroupFold, RunRecord, ScenarioSet, SessionPool,
+    SweepSet,
 };
 
 /// Per-workload comparison row (Figs. 7 and 8).
@@ -87,82 +87,10 @@ pub fn cpu_scalability(config: &SocConfig, workload: &Workload) -> f64 {
 /// `-Redist` performance is projected afterwards.
 pub const EVALUATION_GOVERNORS: [&str; 4] = ["baseline", "sysscale", "memscale", "coscale"];
 
-/// Runs the full `workloads × {baseline, SysScale, MemScale, CoScale}`
-/// matrix through one parallel [`ScenarioSet::run_parallel`] batch on a
-/// fresh [`SessionPool`], with `predictor` wired into the SysScale column
-/// and the baseline designated for relative deltas.
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn evaluation_matrix(
-    config: &SocConfig,
-    predictor: &DemandPredictor,
-    workloads: &[Workload],
-) -> SimResult<RunSet> {
-    evaluation_matrix_in(&mut SessionPool::new(), config, predictor, workloads)
-}
-
-/// Like [`evaluation_matrix`], but reuses a caller-provided pool so
-/// consecutive matrices on the same platforms share their cached
-/// simulators. The worker count comes from
-/// [`exec::default_threads`] (`SYSSCALE_THREADS` overrides it; `1` is the
-/// sequential path and produces a bit-identical [`RunSet`]).
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn evaluation_matrix_in(
-    pool: &mut SessionPool,
-    config: &SocConfig,
-    predictor: &DemandPredictor,
-    workloads: &[Workload],
-) -> SimResult<RunSet> {
-    let mut runs = evaluation_sweep_in(
-        pool,
-        exec::default_threads(),
-        config,
-        predictor,
-        &[workloads],
-    )?;
-    Ok(runs.pop().expect("single-suite sweep"))
-}
-
-/// Runs several suites' evaluation matrices as **one** sharded [`SweepSet`]
-/// batch and returns one [`RunSet`] per suite, in suite order.
-///
-/// The evaluation's governor columns span two platforms (the full platform
-/// for baseline/SysScale, the restricted one for MemScale/CoScale), so the
-/// sweep's platform sharding keeps each platform's simulator on one worker
-/// across every suite. Each returned `RunSet` is byte-identical to
-/// [`evaluation_matrix`] run on that suite alone, at any thread count.
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn evaluation_sweep_in(
-    pool: &mut SessionPool,
-    threads: usize,
-    config: &SocConfig,
-    predictor: &DemandPredictor,
-    suites: &[&[Workload]],
-) -> SimResult<Vec<RunSet>> {
-    let mut registry = GovernorRegistry::builtin();
-    registry.register(sysscale_factory(*predictor));
-    let mut sweep = SweepSet::new();
-    for suite in suites {
-        sweep.push_set(
-            ScenarioSet::matrix_with(&registry, config, suite, &EVALUATION_GOVERNORS)?
-                .with_baseline("baseline"),
-        );
-    }
-    sweep.run_parallel(pool, threads)
-}
-
 /// The record-level speedup-row reduction — the single definition shared by
-/// the materialized ([`fig7`]/[`fig8`]) and fold-based
-/// ([`evaluation_figures_fold_in`]) aggregation paths, which is what keeps
-/// their rows bit-identical.
+/// [`evaluation_figures_fold_in`] and the materialized reference its
+/// differential test compares against, which is what keeps their rows
+/// bit-identical.
 fn speedup_row_from_records(
     config: &SocConfig,
     baseline: &RunRecord,
@@ -196,79 +124,6 @@ fn speedup_row_from_records(
     })
 }
 
-fn row_from_runs(
-    config: &SocConfig,
-    runs: &RunSet,
-    workload: &Workload,
-    gfx_priority: bool,
-    scalability: f64,
-) -> SimResult<SpeedupRow> {
-    let name = workload.name.as_str();
-    speedup_row_from_records(
-        config,
-        runs.require(name, "baseline")?,
-        runs.require(name, "sysscale")?,
-        runs.require(name, "memscale")?,
-        runs.require(name, "coscale")?,
-        gfx_priority,
-        scalability,
-    )
-}
-
-fn fig7_from_runs(
-    config: &SocConfig,
-    runs: &RunSet,
-    suite: &[Workload],
-) -> SimResult<SpeedupFigure> {
-    let rows = suite
-        .iter()
-        .map(|w| {
-            let scalability = cpu_scalability(config, w);
-            row_from_runs(config, runs, w, false, scalability)
-        })
-        .collect::<SimResult<Vec<_>>>()?;
-    Ok(SpeedupFigure::from_rows(rows))
-}
-
-fn fig8_from_runs(
-    config: &SocConfig,
-    runs: &RunSet,
-    suite: &[Workload],
-) -> SimResult<SpeedupFigure> {
-    let rows = suite
-        .iter()
-        .map(|w| {
-            // Graphics FPS is assumed fully scalable with engine frequency as
-            // long as bandwidth suffices (Sec. 7.2); the simulator itself
-            // enforces the bandwidth limit for the measured SysScale numbers.
-            row_from_runs(config, runs, w, true, 1.0)
-        })
-        .collect::<SimResult<Vec<_>>>()?;
-    Ok(SpeedupFigure::from_rows(rows))
-}
-
-/// Fig. 7: SPEC CPU2006 performance improvements.
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn fig7(config: &SocConfig, predictor: &DemandPredictor) -> SimResult<SpeedupFigure> {
-    let suite = spec_cpu2006_suite();
-    let runs = evaluation_matrix(config, predictor, &suite)?;
-    fig7_from_runs(config, &runs, &suite)
-}
-
-/// Fig. 8: 3DMark performance improvements.
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn fig8(config: &SocConfig, predictor: &DemandPredictor) -> SimResult<SpeedupFigure> {
-    let suite = graphics_suite();
-    let runs = evaluation_matrix(config, predictor, &suite)?;
-    fig8_from_runs(config, &runs, &suite)
-}
-
 /// Per-workload battery-life row (Fig. 9).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PowerReductionRow {
@@ -295,20 +150,9 @@ pub struct PowerReductionFigure {
     pub sysscale_max_pct: f64,
 }
 
-/// Fig. 9: battery-life average power reduction.
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn fig9(config: &SocConfig, predictor: &DemandPredictor) -> SimResult<PowerReductionFigure> {
-    let suite = battery_life_suite();
-    let runs = evaluation_matrix(config, predictor, &suite)?;
-    fig9_from_runs(&runs, &suite)
-}
-
 /// The record-level power-reduction-row reduction — like
-/// [`speedup_row_from_records`], the single definition shared by the
-/// materialized and fold-based paths.
+/// [`speedup_row_from_records`], the single definition shared by the fold
+/// and its materialized reference.
 fn power_row_from_records(
     baseline: &RunRecord,
     sys: &RunRecord,
@@ -333,53 +177,6 @@ fn fig9_figure_from_rows(rows: Vec<PowerReductionRow>) -> PowerReductionFigure {
     }
 }
 
-fn fig9_from_runs(runs: &RunSet, suite: &[Workload]) -> SimResult<PowerReductionFigure> {
-    let rows = suite
-        .iter()
-        .map(|w| {
-            let name = w.name.as_str();
-            Ok(power_row_from_records(
-                runs.require(name, "baseline")?,
-                runs.require(name, "sysscale")?,
-                runs.require(name, "memscale")?,
-                runs.require(name, "coscale")?,
-            ))
-        })
-        .collect::<SimResult<Vec<_>>>()?;
-    Ok(fig9_figure_from_rows(rows))
-}
-
-/// Runs the whole main evaluation — Figs. 7, 8, and 9 — as **one** sharded
-/// sweep: the three suites' matrices (SPEC CPU2006, 3DMark, battery life)
-/// flatten into a single cell list on one pool, so no worker idles between
-/// figures and the two evaluation platforms are each built once. Every
-/// figure is byte-identical to its standalone [`fig7`]/[`fig8`]/[`fig9`]
-/// counterpart at any thread count.
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn evaluation_figures(
-    config: &SocConfig,
-    predictor: &DemandPredictor,
-) -> SimResult<(SpeedupFigure, SpeedupFigure, PowerReductionFigure)> {
-    let spec = spec_cpu2006_suite();
-    let gfx = graphics_suite();
-    let battery = battery_life_suite();
-    let runs = evaluation_sweep_in(
-        &mut SessionPool::new(),
-        exec::default_threads(),
-        config,
-        predictor,
-        &[&spec, &gfx, &battery],
-    )?;
-    Ok((
-        fig7_from_runs(config, &runs[0], &spec)?,
-        fig8_from_runs(config, &runs[1], &gfx)?,
-        fig9_from_runs(&runs[2], &battery)?,
-    ))
-}
-
 /// A fold-reduced evaluation row: Figs. 7/8 rows are speedups, Fig. 9 rows
 /// power reductions.
 enum EvalRow {
@@ -387,31 +184,39 @@ enum EvalRow {
     Power(PowerReductionRow),
 }
 
-/// [`evaluation_figures`] through the fold-based result pipeline
-/// ([`SweepSet::run_parallel_fold`]): the same three-suite sharded sweep,
-/// but each workload's four governor runs reduce to its figure row the
-/// moment the last one finishes — via the same record-level row reductions
-/// the materialized path applies after collecting — so no `RunSet` is ever
-/// materialized and the figures are **byte-identical** to
-/// [`evaluation_figures`] at any thread count (the fold differential test
-/// pins this).
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn evaluation_figures_fold(
+/// One `suite × EVALUATION_GOVERNORS` matrix per suite, with `predictor`
+/// wired into the SysScale column and the baseline designated for relative
+/// deltas.
+fn evaluation_sets(
     config: &SocConfig,
     predictor: &DemandPredictor,
-) -> SimResult<(SpeedupFigure, SpeedupFigure, PowerReductionFigure)> {
-    evaluation_figures_fold_in(
-        &mut SessionPool::new(),
-        exec::default_threads(),
-        config,
-        predictor,
-    )
+    suites: &[&[Workload]],
+) -> SimResult<Vec<ScenarioSet>> {
+    let mut registry = GovernorRegistry::builtin();
+    registry.register(sysscale_factory(*predictor));
+    suites
+        .iter()
+        .map(|suite| {
+            Ok(
+                ScenarioSet::matrix_with(&registry, config, suite, &EVALUATION_GOVERNORS)?
+                    .with_baseline("baseline"),
+            )
+        })
+        .collect()
 }
 
-/// [`evaluation_figures_fold`] on a caller-provided pool and worker count.
+/// Runs the whole main evaluation — Figs. 7, 8, and 9 — as **one** sharded
+/// sweep on the caller's pool and worker count: the three suites' matrices
+/// (SPEC CPU2006, 3DMark, battery life) flatten into a single cell list, so
+/// no worker idles between figures and the two evaluation platforms are
+/// each built once.
+///
+/// The sweep runs through the fold-based result pipeline
+/// ([`SweepSet::run_parallel_fold`]): each workload's four governor runs
+/// reduce to its figure row the moment the last one finishes, so no
+/// `RunSet` is ever materialized. The figures are byte-identical at any
+/// worker count, and to collecting every record first and reducing
+/// afterwards (the differential test below pins both).
 ///
 /// # Errors
 ///
@@ -425,19 +230,7 @@ pub fn evaluation_figures_fold_in(
     let spec = spec_cpu2006_suite();
     let gfx = graphics_suite();
     let battery = battery_life_suite();
-    let suites: [&[Workload]; 3] = [&spec, &gfx, &battery];
-
-    let mut registry = GovernorRegistry::builtin();
-    registry.register(sysscale_factory(*predictor));
-    let sets: Vec<ScenarioSet> = suites
-        .iter()
-        .map(|suite| {
-            Ok(
-                ScenarioSet::matrix_with(&registry, config, suite, &EVALUATION_GOVERNORS)?
-                    .with_baseline("baseline"),
-            )
-        })
-        .collect::<SimResult<_>>()?;
+    let sets = evaluation_sets(config, predictor, &[&spec, &gfx, &battery])?;
     let mut sweep = SweepSet::new();
     for set in &sets {
         sweep.push_set_ref(set);
@@ -451,7 +244,7 @@ pub fn evaluation_figures_fold_in(
     let total: usize = widths.iter().sum();
     // Per-group row recipe: which figure the workload belongs to, and the
     // speedup rows' scalability input (a pure function of config and
-    // workload, computed in the same order the materialized path does).
+    // workload).
     enum RowSpec {
         Speedup {
             gfx_priority: bool,
@@ -534,7 +327,123 @@ pub fn evaluation_figures_fold_in(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sysscale_types::exec;
     use sysscale_workloads::spec_workload;
+
+    use crate::scenario::RunSet;
+
+    fn row_from_runs(
+        config: &SocConfig,
+        runs: &RunSet,
+        workload: &Workload,
+        gfx_priority: bool,
+        scalability: f64,
+    ) -> SimResult<SpeedupRow> {
+        let name = workload.name.as_str();
+        speedup_row_from_records(
+            config,
+            runs.require(name, "baseline")?,
+            runs.require(name, "sysscale")?,
+            runs.require(name, "memscale")?,
+            runs.require(name, "coscale")?,
+            gfx_priority,
+            scalability,
+        )
+    }
+
+    fn fig7_from_runs(
+        config: &SocConfig,
+        runs: &RunSet,
+        suite: &[Workload],
+    ) -> SimResult<SpeedupFigure> {
+        let rows = suite
+            .iter()
+            .map(|w| {
+                let scalability = cpu_scalability(config, w);
+                row_from_runs(config, runs, w, false, scalability)
+            })
+            .collect::<SimResult<Vec<_>>>()?;
+        Ok(SpeedupFigure::from_rows(rows))
+    }
+
+    fn fig8_from_runs(
+        config: &SocConfig,
+        runs: &RunSet,
+        suite: &[Workload],
+    ) -> SimResult<SpeedupFigure> {
+        let rows = suite
+            .iter()
+            .map(|w| row_from_runs(config, runs, w, true, 1.0))
+            .collect::<SimResult<Vec<_>>>()?;
+        Ok(SpeedupFigure::from_rows(rows))
+    }
+
+    fn fig9_from_runs(runs: &RunSet, suite: &[Workload]) -> SimResult<PowerReductionFigure> {
+        let rows = suite
+            .iter()
+            .map(|w| {
+                let name = w.name.as_str();
+                Ok(power_row_from_records(
+                    runs.require(name, "baseline")?,
+                    runs.require(name, "sysscale")?,
+                    runs.require(name, "memscale")?,
+                    runs.require(name, "coscale")?,
+                ))
+            })
+            .collect::<SimResult<Vec<_>>>()?;
+        Ok(fig9_figure_from_rows(rows))
+    }
+
+    /// The materialized reference of [`evaluation_figures_fold_in`]: the
+    /// same three-suite sweep, collected into one `RunSet` per suite and
+    /// reduced per suite afterwards.
+    fn materialized_figures(
+        pool: &mut SessionPool,
+        threads: usize,
+        config: &SocConfig,
+        predictor: &DemandPredictor,
+    ) -> SimResult<(SpeedupFigure, SpeedupFigure, PowerReductionFigure)> {
+        let spec = spec_cpu2006_suite();
+        let gfx = graphics_suite();
+        let battery = battery_life_suite();
+        let sets = evaluation_sets(config, predictor, &[&spec, &gfx, &battery])?;
+        let mut sweep = SweepSet::new();
+        for set in &sets {
+            sweep.push_set_ref(set);
+        }
+        let runs = sweep.run_parallel(pool, threads)?;
+        Ok((
+            fig7_from_runs(config, &runs[0], &spec)?,
+            fig8_from_runs(config, &runs[1], &gfx)?,
+            fig9_from_runs(&runs[2], &battery)?,
+        ))
+    }
+
+    /// Figs. 7/8/9 on the default platform and predictor, computed once
+    /// for every test that reads them.
+    fn default_figures() -> &'static (SpeedupFigure, SpeedupFigure, PowerReductionFigure) {
+        static FIGURES: std::sync::OnceLock<(SpeedupFigure, SpeedupFigure, PowerReductionFigure)> =
+            std::sync::OnceLock::new();
+        FIGURES.get_or_init(|| {
+            evaluation_figures_fold_in(
+                &mut SessionPool::new(),
+                exec::default_threads(),
+                &SocConfig::skylake_default(),
+                &DemandPredictor::skylake_default(),
+            )
+            .unwrap()
+        })
+    }
+
+    fn spec_row(name: &str) -> &'static SpeedupRow {
+        let workload = spec_workload(name).unwrap().name;
+        default_figures()
+            .0
+            .rows
+            .iter()
+            .find(|row| row.workload == workload)
+            .unwrap()
+    }
 
     #[test]
     fn scalability_separates_compute_bound_from_memory_bound() {
@@ -549,13 +458,7 @@ mod tests {
     fn single_workload_evaluation_orders_the_techniques() {
         // The headline ordering of Fig. 7: SysScale > CoScale-R and
         // MemScale-R for a frequency-scalable workload.
-        let config = SocConfig::skylake_default();
-        let predictor = DemandPredictor::skylake_default();
-        let w = spec_workload("gamess").unwrap();
-        let scal = cpu_scalability(&config, &w);
-        let runs = evaluation_matrix(&config, &predictor, std::slice::from_ref(&w)).unwrap();
-        assert_eq!(runs.len(), EVALUATION_GOVERNORS.len());
-        let row = row_from_runs(&config, &runs, &w, false, scal).unwrap();
+        let row = spec_row("gamess");
         assert!(row.sysscale_pct > 3.0, "{row:?}");
         assert!(row.sysscale_pct > row.memscale_redist_pct, "{row:?}");
         assert!(row.sysscale_pct > row.coscale_redist_pct * 0.9, "{row:?}");
@@ -564,21 +467,14 @@ mod tests {
 
     #[test]
     fn memory_bound_workload_sees_little_gain_but_no_large_loss() {
-        let config = SocConfig::skylake_default();
-        let predictor = DemandPredictor::skylake_default();
-        let w = spec_workload("bwaves").unwrap();
-        let scal = cpu_scalability(&config, &w);
-        let runs = evaluation_matrix(&config, &predictor, std::slice::from_ref(&w)).unwrap();
-        let row = row_from_runs(&config, &runs, &w, false, scal).unwrap();
+        let row = spec_row("bwaves");
         assert!(row.sysscale_pct > -2.0, "{row:?}");
         assert!(row.sysscale_pct < 6.0, "{row:?}");
     }
 
     #[test]
     fn battery_life_row_shape() {
-        let config = SocConfig::skylake_default();
-        let predictor = DemandPredictor::skylake_default();
-        let fig = fig9(&config, &predictor).unwrap();
+        let fig = &default_figures().2;
         assert_eq!(fig.rows.len(), 4);
         for row in &fig.rows {
             assert!(row.sysscale_pct > 1.0, "{row:?}");
@@ -590,5 +486,28 @@ mod tests {
         }
         assert!(fig.sysscale_avg_pct > 2.0);
         assert!(fig.sysscale_max_pct >= fig.sysscale_avg_pct);
+    }
+
+    #[test]
+    fn fold_evaluation_figures_are_bit_identical_to_the_materialized_figures() {
+        let config = SocConfig::skylake_default();
+        let predictor = DemandPredictor::skylake_default();
+        let reference = materialized_figures(
+            &mut SessionPool::new(),
+            exec::default_threads(),
+            &config,
+            &predictor,
+        )
+        .unwrap();
+
+        for threads in [1, 8] {
+            let folded =
+                evaluation_figures_fold_in(&mut SessionPool::new(), threads, &config, &predictor)
+                    .unwrap();
+            assert_eq!(
+                folded, reference,
+                "evaluation fold figures diverged at {threads} workers"
+            );
+        }
     }
 }

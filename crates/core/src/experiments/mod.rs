@@ -1,12 +1,16 @@
 //! The experiment harness: one module per group of tables/figures of the
-//! paper's evaluation, each producing a result that the `figures` binary and
-//! the benches print.
+//! paper's evaluation, each producing a result that the `figures` binary
+//! prints.
 //!
-//! Every module is implemented on top of the [`crate::scenario`] API — the
-//! figures are [`crate::ScenarioSet`] matrices (or individual
-//! [`crate::Scenario`]s) executed through a [`crate::SessionPool`] by the
-//! deterministic parallel runner ([`crate::ScenarioSet::run_parallel`]),
-//! with the worker count taken from
+//! Every module is implemented on top of the [`crate::scenario`] API, and
+//! each paper result has exactly one public function. Fig. 6, Figs. 7/8/9,
+//! Fig. 10 and the Sec. 7.4 DRAM study each run as one [`crate::SweepSet`]
+//! on the caller's [`crate::SessionPool`] and worker count; the first three
+//! fold their records into the result
+//! ([`crate::SweepSet::run_parallel_fold`]). The paths they replaced
+//! (collect-then-reduce, one matrix per configuration point) live on in
+//! test code only, next to the differential tests that compare against
+//! them. The remaining studies run their own matrices at
 //! [`sysscale_types::exec::default_threads`] (override with the
 //! `SYSSCALE_THREADS` environment variable; `1` reproduces the sequential
 //! path).
@@ -23,52 +27,30 @@ pub mod motivation;
 pub mod predictor_study;
 pub mod sensitivity;
 
-use sysscale_types::SimTime;
-use sysscale_workloads::Workload;
-
-/// Default minimum simulated duration per run. Workloads with longer phase
-/// sequences (e.g. 473.astar) are run for at least one full iteration.
-pub const MIN_RUN: SimTime = crate::scenario::DEFAULT_MIN_RUN;
-
-/// Simulated duration used for `workload` so that at least one full phase
-/// iteration is covered.
-#[must_use]
-pub fn run_duration(workload: &Workload) -> SimTime {
-    crate::scenario::auto_duration(workload)
-}
-
-/// Formats a percentage with one decimal for report tables.
-#[must_use]
-pub fn fmt_pct(value: f64) -> String {
-    format!("{value:+.1}%")
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::scenario::{Scenario, SimSession};
+    use crate::scenario::{auto_duration, Scenario, SimSession, DEFAULT_MIN_RUN};
     use sysscale_workloads::spec_workload;
 
     #[test]
     fn run_duration_covers_one_iteration() {
         let astar = spec_workload("astar").unwrap();
-        assert!(run_duration(&astar) >= astar.iteration_length());
+        assert!(auto_duration(&astar) >= astar.iteration_length());
         let gamess = spec_workload("gamess").unwrap();
         assert_eq!(
-            run_duration(&gamess),
-            gamess.iteration_length().max(MIN_RUN)
+            auto_duration(&gamess),
+            gamess.iteration_length().max(DEFAULT_MIN_RUN)
         );
     }
 
     #[test]
     fn single_runs_go_through_the_scenario_api() {
-        // What the removed `run_workload` shim used to do, spelled with the
-        // scenario API: default duration comes from `auto_duration`.
+        // A single experiment run spelled with the scenario API: the default
+        // duration comes from `auto_duration`.
         let workload = spec_workload("hmmer").unwrap();
         let scenario = Scenario::builder(workload.clone()).build().unwrap();
-        assert_eq!(scenario.duration(), run_duration(&workload));
+        assert_eq!(scenario.duration(), auto_duration(&workload));
         let record = SimSession::new().run(&scenario).unwrap();
         assert!(record.report.metrics.work_done > 0.0);
-        assert_eq!(fmt_pct(9.2), "+9.2%");
     }
 }

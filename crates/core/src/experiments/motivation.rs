@@ -5,7 +5,7 @@ use std::sync::{Arc, Mutex};
 use sysscale_compute::{CpuModel, GfxModel};
 use sysscale_iodev::{DisplayController, DisplayPanel, IspEngine, IspMode, Resolution};
 use sysscale_soc::{FnTraceSink, SocConfig};
-use sysscale_types::{exec, Freq, SimError, SimResult, SimTime, Voltage};
+use sysscale_types::{exec, Freq, SimError, SimResult, SimTime};
 use sysscale_workloads::{graphics_workload, spec_workload, stream_peak_bandwidth, Workload};
 
 use crate::scenario::{Scenario, ScenarioSet, SessionPool};
@@ -495,18 +495,6 @@ pub fn fig4(config: &SocConfig) -> SimResult<Fig4Result> {
     })
 }
 
-/// Voltage/frequency settings implied by Table 1, exposed for reporting.
-#[must_use]
-pub fn table1_voltages(config: &SocConfig) -> Vec<(String, Voltage)> {
-    let low = config.uncore_ladder().lowest();
-    let rails = sysscale_power::RailVoltages::for_operating_point(&config.nominal_voltages, low);
-    vec![
-        ("V_SA (low OP)".into(), rails.vsa),
-        ("V_IO (low OP)".into(), rails.vio),
-        ("VDDQ".into(), rails.vddq),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -518,8 +506,6 @@ mod tests {
         assert!(rows[0].baseline.contains("1.60GHz"));
         assert!(rows[0].md_dvfs.contains("1.07GHz"));
         assert!(rows[2].md_dvfs.contains("0.80"));
-        let volts = table1_voltages(&SocConfig::skylake_default());
-        assert_eq!(volts.len(), 3);
     }
 
     #[test]

@@ -7,20 +7,18 @@
 //! absence of false positives (a false positive would let the SoC drop to the
 //! low point and hurt performance beyond the bound).
 //!
-//! Substitution note (documented in DESIGN.md): the proprietary suites are
+//! Substitution note: the proprietary suites are
 //! replaced by the synthetic population generator, and the third frequency
 //! pair uses DDR4 2.13→1.33 GHz (the nearest supported bins) instead of the
 //! paper's 2.13→1.06 GHz.
 
 use sysscale_soc::SocConfig;
-use sysscale_types::{
-    exec, stats, Freq, OperatingPointTable, Power, SimResult, UncoreOperatingPoint,
-};
+use sysscale_types::{stats, Freq, OperatingPointTable, SimResult, UncoreOperatingPoint};
 use sysscale_workloads::{ClassBucketSource, GeneratorConfig, WorkloadClass, WorkloadSource};
 
 use crate::calibration::{
-    calibration_source, fit_impact_model, sample_fold_consumer, samples_from_runs,
-    CalibrationConfig, CalibrationSample,
+    calibration_source, fit_impact_model, sample_fold_consumer, CalibrationConfig,
+    CalibrationSample,
 };
 use crate::scenario::{SessionPool, SweepSet};
 
@@ -173,22 +171,6 @@ fn panel_from_samples(
     }
 }
 
-/// Runs the full Fig. 6 study: 3 frequency pairs × 3 workload classes, as
-/// one sharded sweep on a fresh pool at [`exec::default_threads`]; see
-/// [`fig6_in`].
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn fig6(base: &SocConfig, study: &PredictorStudyConfig) -> SimResult<Vec<PredictorPanel>> {
-    fig6_in(
-        &mut SessionPool::new(),
-        exec::default_threads(),
-        base,
-        study,
-    )
-}
-
 /// The nine panel shapes of the study — `(pair index, class)` in member
 /// order — together with their streaming populations and platform
 /// configurations, shared by the fold-based and materialized paths.
@@ -216,7 +198,8 @@ fn study_layout(base: &SocConfig, study: &PredictorStudyConfig) -> StudyLayout {
     }
 }
 
-/// [`fig6`] on a caller-provided pool and worker count.
+/// Runs the full Fig. 6 study — 3 frequency pairs × 3 workload classes —
+/// on the caller's pool and worker count.
 ///
 /// All nine panels — `3 frequency pairs × 3 workload classes`, each a
 /// `2 × population` measurement — flatten into **one** [`SweepSet`] batch:
@@ -231,8 +214,8 @@ fn study_layout(base: &SocConfig, study: &PredictorStudyConfig) -> StudyLayout {
 /// ([`SweepSet::run_parallel_fold`]): each workload's high/low pair reduces
 /// to its calibration sample as soon as both halves have run, so *result*
 /// memory never holds the study's `18 × population` records either. The
-/// panels are bit-identical to the materialized reference path
-/// ([`fig6_collected_in`]) at any worker count.
+/// panels are bit-identical at any worker count, and to collecting every
+/// member's records first (the differential test below pins both).
 ///
 /// # Errors
 ///
@@ -288,59 +271,54 @@ pub fn fig6_in(
         .collect())
 }
 
-/// The materialized reference path of the Fig. 6 study — collect every
-/// member's [`crate::RunSet`], then convert to samples via
-/// [`samples_from_runs`] — retained for the fold differential test harness
-/// to compare [`fig6_in`] against.
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn fig6_collected_in(
-    pool: &mut SessionPool,
-    threads: usize,
-    base: &SocConfig,
-    study: &PredictorStudyConfig,
-) -> SimResult<Vec<PredictorPanel>> {
-    let layout = study_layout(base, study);
-    let sources = layout
-        .shapes
-        .iter()
-        .zip(&layout.populations)
-        .map(|(&(pair_idx, _), population)| {
-            calibration_source(&layout.pairs[pair_idx].2, population, &study.calibration)
-        })
-        .collect::<SimResult<Vec<_>>>()?;
-
-    let mut sweep = SweepSet::new();
-    for source in &sources {
-        sweep.push_source(source, None);
-    }
-    let member_runs = sweep.run_parallel(pool, threads)?;
-
-    Ok(layout
-        .shapes
-        .iter()
-        .zip(&layout.populations)
-        .zip(&member_runs)
-        .map(|((&(pair_idx, class), population), runs)| {
-            let (high, low, config) = &layout.pairs[pair_idx];
-            let samples = samples_from_runs(config, population, &study.calibration, runs);
-            panel_from_samples(class, *high, *low, &samples, study)
-        })
-        .collect())
-}
-
-/// Convenience: total average power of the study platform (used by the
-/// figures binary to annotate the panels).
-#[must_use]
-pub fn study_tdp(base: &SocConfig) -> Power {
-    base.tdp
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sysscale_types::{exec, SimTime};
+
+    use crate::calibration::samples_from_runs;
+
+    /// The worker counts the differential below is pinned at.
+    const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
+
+    /// The materialized reference path of the Fig. 6 study — collect every
+    /// member's [`crate::RunSet`], then convert to samples via
+    /// [`samples_from_runs`] — kept as the reference [`fig6_in`] is
+    /// compared against.
+    fn fig6_collected_in(
+        pool: &mut SessionPool,
+        threads: usize,
+        base: &SocConfig,
+        study: &PredictorStudyConfig,
+    ) -> SimResult<Vec<PredictorPanel>> {
+        let layout = study_layout(base, study);
+        let sources = layout
+            .shapes
+            .iter()
+            .zip(&layout.populations)
+            .map(|(&(pair_idx, _), population)| {
+                calibration_source(&layout.pairs[pair_idx].2, population, &study.calibration)
+            })
+            .collect::<SimResult<Vec<_>>>()?;
+
+        let mut sweep = SweepSet::new();
+        for source in &sources {
+            sweep.push_source(source, None);
+        }
+        let member_runs = sweep.run_parallel(pool, threads)?;
+
+        Ok(layout
+            .shapes
+            .iter()
+            .zip(&layout.populations)
+            .zip(&member_runs)
+            .map(|((&(pair_idx, class), population), runs)| {
+                let (high, low, config) = &layout.pairs[pair_idx];
+                let samples = samples_from_runs(config, population, &study.calibration, runs);
+                panel_from_samples(class, *high, *low, &samples, study)
+            })
+            .collect())
+    }
 
     #[test]
     fn frequency_pairs_match_the_supported_bins() {
@@ -358,11 +336,17 @@ mod tests {
             workloads_per_panel: 16,
             calibration: CalibrationConfig {
                 degradation_bound: 0.02,
-                sim_duration: sysscale_types::SimTime::from_millis(40.0),
+                sim_duration: SimTime::from_millis(40.0),
             },
             ..PredictorStudyConfig::default()
         };
-        let panels = fig6(&SocConfig::skylake_default(), &study).unwrap();
+        let panels = fig6_in(
+            &mut SessionPool::new(),
+            exec::default_threads(),
+            &SocConfig::skylake_default(),
+            &study,
+        )
+        .unwrap();
         assert_eq!(panels.len(), 9);
         for p in &panels {
             assert!(p.workloads >= 6);
@@ -386,5 +370,29 @@ mod tests {
             big_drop > small_drop - 0.5,
             "big {big_drop} small {small_drop}"
         );
+    }
+
+    #[test]
+    fn fold_fig6_panels_are_bit_identical_to_the_collected_reference() {
+        let study = PredictorStudyConfig {
+            workloads_per_panel: 8,
+            calibration: CalibrationConfig {
+                degradation_bound: 0.02,
+                sim_duration: SimTime::from_millis(30.0),
+            },
+            ..PredictorStudyConfig::default()
+        };
+        let base = SocConfig::skylake_default();
+        let reference = fig6_collected_in(&mut SessionPool::new(), 1, &base, &study).unwrap();
+        assert_eq!(reference.len(), 9);
+
+        for threads in THREAD_COUNTS {
+            let folded = fig6_in(&mut SessionPool::new(), threads, &base, &study).unwrap();
+            assert_eq!(
+                folded, reference,
+                "fig6 fold panels diverged at {threads} workers"
+            );
+            assert_eq!(format!("{folded:?}"), format!("{reference:?}"));
+        }
     }
 }

@@ -1,16 +1,16 @@
 //! Sensitivity studies and ablations: Fig. 10 (TDP), the Sec. 7.4 DRAM
 //! frequency/type sensitivity, the Sec. 5 overhead accounting, and the
-//! design-choice ablations called out in DESIGN.md.
+//! design-choice ablations.
 //!
 //! The multi-configuration studies (Fig. 10, DRAM sensitivity) are
 //! [`SweepSet`]s: every configuration point's matrix is flattened into one
 //! cell list and submitted to the pool as a single sharded batch, with cells
 //! hash-sharded by platform fingerprint so each platform's simulator is
-//! built once for the whole sweep. The `*_per_point` functions keep the old
-//! one-matrix-per-point path alive as the reference the differential test
-//! harness compares the sweeps against. The ablations express each design
-//! variant as a platform-restricting [`FnGovernorFactory`], so that study is
-//! a single `workloads × variants` batch already.
+//! built once for the whole sweep. The tests keep the old
+//! one-matrix-per-point path as the reference the sweeps are compared
+//! against. The ablations express each design variant as a
+//! platform-restricting [`FnGovernorFactory`], so that study is a single
+//! `workloads × variants` batch already.
 
 use std::sync::Arc;
 
@@ -55,16 +55,6 @@ fn baseline_vs_sysscale_matrix(
     )
 }
 
-fn baseline_vs_sysscale(
-    pool: &mut SessionPool,
-    threads: usize,
-    config: &SocConfig,
-    predictor: &DemandPredictor,
-    workloads: &[Workload],
-) -> SimResult<RunSet> {
-    baseline_vs_sysscale_matrix(config, predictor, workloads)?.run_parallel(pool, threads)
-}
-
 /// Reads the per-workload sysscale metric column off one configuration
 /// point's [`RunSet`].
 fn sysscale_cells(
@@ -82,73 +72,23 @@ fn sysscale_cells(
         .collect()
 }
 
-fn tdp_point(tdp: f64, runs: &RunSet, suite: &[Workload]) -> SimResult<TdpPoint> {
-    let speedups = sysscale_cells(runs, suite, |c| c.speedup_pct)?;
-    Ok(TdpPoint {
-        tdp_w: tdp,
-        summary: Summary::of(&speedups),
-        speedups_pct: speedups,
-    })
-}
-
-/// Fig. 10: SysScale benefit versus TDP on the SPEC-like suite.
+/// Fig. 10: SysScale benefit versus TDP on the SPEC-like suite, on the
+/// caller's pool and worker count.
 ///
-/// All TDP points run as **one** sharded [`SweepSet`] batch on a fresh pool
-/// at [`exec::default_threads`]; see [`fig10_in`].
+/// The whole `TDPs × suite × {baseline, sysscale}` sweep is flattened into a
+/// single platform-sharded batch, so each TDP point's simulator is built
+/// once and no worker idles at point boundaries. Instead of materializing
+/// one [`RunSet`] per TDP point, a [`GroupFold`] consumer reduces every
+/// workload's `(baseline, sysscale)` pair to its speedup the moment both
+/// runs finish, and the TDP points are assembled from the per-workload
+/// speedups alone. Result memory is the speedup vector — `TDPs × suite`
+/// f64s — plus O(in-flight pairs), never the sweep's full record matrix.
 ///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn fig10(predictor: &DemandPredictor, tdps_w: &[f64]) -> SimResult<Vec<TdpPoint>> {
-    fig10_in(
-        &mut SessionPool::new(),
-        exec::default_threads(),
-        predictor,
-        tdps_w,
-    )
-}
-
-/// [`fig10`] on a caller-provided pool and worker count: the whole
-/// `TDPs × suite × {baseline, sysscale}` sweep is flattened into a single
-/// platform-sharded batch, so each TDP point's simulator is built once for
-/// the sweep and no worker idles at point boundaries. The result is
-/// byte-identical to [`fig10_per_point_in`] at any `threads`.
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn fig10_in(
-    pool: &mut SessionPool,
-    threads: usize,
-    predictor: &DemandPredictor,
-    tdps_w: &[f64],
-) -> SimResult<Vec<TdpPoint>> {
-    let suite = spec_cpu2006_suite();
-    let mut sweep = SweepSet::new();
-    for &tdp in tdps_w {
-        let config = SocConfig::skylake_m_6y75(Power::from_watts(tdp));
-        sweep.push_set(baseline_vs_sysscale_matrix(&config, predictor, &suite)?);
-    }
-    let run_sets = sweep.run_parallel(pool, threads)?;
-    tdps_w
-        .iter()
-        .zip(&run_sets)
-        .map(|(&tdp, runs)| tdp_point(tdp, runs, &suite))
-        .collect()
-}
-
-/// The fold-based Fig. 10 path: the same single platform-sharded sweep as
-/// [`fig10_in`], but instead of materializing one [`RunSet`] per TDP point,
-/// a [`GroupFold`] consumer reduces every workload's `(baseline, sysscale)`
-/// pair to its speedup the moment both runs finish, and the TDP points are
-/// assembled from the per-workload speedups alone. Result memory is the
-/// speedup vector — `TDPs × suite` f64s — plus O(in-flight pairs), never
-/// the sweep's full record matrix.
-///
-/// Byte-identical to [`fig10_in`] and [`fig10_per_point_in`] at any
-/// `threads`: each speedup is computed by the same
-/// [`sysscale_soc::SimReport::speedup_pct_over`] call on the same report
-/// pair, and [`Summary::of`] sees the speedups in the same workload order.
+/// Byte-identical at any `threads`, and to running one matrix per TDP point
+/// (the differential test below pins both): each speedup is computed by the
+/// same [`sysscale_soc::SimReport::speedup_pct_over`] call on the same
+/// report pair, and [`Summary::of`] sees the speedups in the same workload
+/// order.
 ///
 /// # Errors
 ///
@@ -187,30 +127,6 @@ pub fn fig10_fold_in(
             }
         })
         .collect())
-}
-
-/// The pre-sweep Fig. 10 path — one matrix per TDP point, submitted to the
-/// pool point by point — retained as the reference implementation the
-/// differential test harness compares [`fig10_in`] against.
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn fig10_per_point_in(
-    pool: &mut SessionPool,
-    threads: usize,
-    predictor: &DemandPredictor,
-    tdps_w: &[f64],
-) -> SimResult<Vec<TdpPoint>> {
-    let suite = spec_cpu2006_suite();
-    tdps_w
-        .iter()
-        .map(|&tdp| {
-            let config = SocConfig::skylake_m_6y75(Power::from_watts(tdp));
-            let runs = baseline_vs_sysscale(pool, threads, &config, predictor, &suite)?;
-            tdp_point(tdp, &runs, &suite)
-        })
-        .collect()
 }
 
 /// Result of the Sec. 7.4 DRAM sensitivity study.
@@ -267,21 +183,11 @@ fn dram_sensitivity_from_legs(leg_runs: &[RunSet]) -> SimResult<DramSensitivity>
     })
 }
 
-/// Runs the DRAM type / operating-point-count sensitivity study as one
-/// sharded [`SweepSet`] batch on a fresh pool at [`exec::default_threads`];
-/// see [`dram_sensitivity_in`].
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn dram_sensitivity(predictor: &DemandPredictor) -> SimResult<DramSensitivity> {
-    dram_sensitivity_in(&mut SessionPool::new(), exec::default_threads(), predictor)
-}
-
-/// [`dram_sensitivity`] on a caller-provided pool and worker count: the four
-/// measurement legs (two DRAM types × battery suite, two ladder shapes ×
-/// SPEC suite) flatten into one platform-sharded batch. Byte-identical to
-/// [`dram_sensitivity_per_point_in`] at any `threads`.
+/// The Sec. 7.4 DRAM type / operating-point-count sensitivity study, on
+/// the caller's pool and worker count: the four measurement legs (two DRAM
+/// types × battery suite, two ladder shapes × SPEC suite) flatten into one
+/// platform-sharded batch. Byte-identical at any `threads`, and to running
+/// one matrix per leg (the differential test below pins both).
 ///
 /// # Errors
 ///
@@ -297,24 +203,6 @@ pub fn dram_sensitivity_in(
         sweep.push_set(baseline_vs_sysscale_matrix(config, predictor, suite)?);
     }
     let leg_runs = sweep.run_parallel(pool, threads)?;
-    dram_sensitivity_from_legs(&leg_runs)
-}
-
-/// The pre-sweep DRAM-sensitivity path — one matrix per leg — retained as
-/// the reference implementation for the differential test harness.
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn dram_sensitivity_per_point_in(
-    pool: &mut SessionPool,
-    threads: usize,
-    predictor: &DemandPredictor,
-) -> SimResult<DramSensitivity> {
-    let leg_runs = dram_sensitivity_legs()
-        .iter()
-        .map(|(config, suite)| baseline_vs_sysscale(pool, threads, config, predictor, suite))
-        .collect::<SimResult<Vec<_>>>()?;
     dram_sensitivity_from_legs(&leg_runs)
 }
 
@@ -421,7 +309,7 @@ fn ablation_variants(
     ]
 }
 
-/// The ablation study over the design choices DESIGN.md calls out:
+/// The ablation study over the design choices of Secs. 4–5:
 /// MRC reload on/off, redistribution on/off, evaluation-interval length, and
 /// pessimistic transition cost. One scenario matrix:
 /// `(SPEC subset + video playback) × (baseline + variants)`.
@@ -488,6 +376,107 @@ pub fn measured_transition_stall(config: &SocConfig) -> SimResult<SimTime> {
 mod tests {
     use super::*;
 
+    /// The worker counts every differential below is pinned at.
+    const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
+
+    fn baseline_vs_sysscale(
+        pool: &mut SessionPool,
+        threads: usize,
+        config: &SocConfig,
+        predictor: &DemandPredictor,
+        workloads: &[Workload],
+    ) -> SimResult<RunSet> {
+        baseline_vs_sysscale_matrix(config, predictor, workloads)?.run_parallel(pool, threads)
+    }
+
+    /// The pre-sweep Fig. 10 path — one matrix per TDP point, submitted to
+    /// the pool point by point — kept as the reference [`fig10_fold_in`] is
+    /// compared against.
+    fn fig10_per_point_in(
+        pool: &mut SessionPool,
+        threads: usize,
+        predictor: &DemandPredictor,
+        tdps_w: &[f64],
+    ) -> SimResult<Vec<TdpPoint>> {
+        let suite = spec_cpu2006_suite();
+        tdps_w
+            .iter()
+            .map(|&tdp| {
+                let config = SocConfig::skylake_m_6y75(Power::from_watts(tdp));
+                let runs = baseline_vs_sysscale(pool, threads, &config, predictor, &suite)?;
+                let speedups = sysscale_cells(&runs, &suite, |c| c.speedup_pct)?;
+                Ok(TdpPoint {
+                    tdp_w: tdp,
+                    summary: Summary::of(&speedups),
+                    speedups_pct: speedups,
+                })
+            })
+            .collect()
+    }
+
+    /// The pre-sweep DRAM-sensitivity path — one matrix per leg — kept as
+    /// the reference [`dram_sensitivity_in`] is compared against.
+    fn dram_sensitivity_per_point_in(
+        pool: &mut SessionPool,
+        threads: usize,
+        predictor: &DemandPredictor,
+    ) -> SimResult<DramSensitivity> {
+        let leg_runs = dram_sensitivity_legs()
+            .iter()
+            .map(|(config, suite)| baseline_vs_sysscale(pool, threads, config, predictor, suite))
+            .collect::<SimResult<Vec<_>>>()?;
+        dram_sensitivity_from_legs(&leg_runs)
+    }
+
+    #[test]
+    fn fig10_fold_is_byte_identical_to_the_per_point_path() {
+        let predictor = DemandPredictor::skylake_default();
+        let tdps = [3.5, 15.0];
+
+        // Reference: the old path, sequentially (1 worker is the sequential
+        // path by construction).
+        let reference = fig10_per_point_in(&mut SessionPool::new(), 1, &predictor, &tdps).unwrap();
+        assert_eq!(reference.len(), tdps.len());
+
+        for threads in THREAD_COUNTS {
+            let folded =
+                fig10_fold_in(&mut SessionPool::new(), threads, &predictor, &tdps).unwrap();
+            assert_eq!(
+                folded, reference,
+                "fig10 fold diverged from per-point at {threads} workers"
+            );
+            // Byte-identical includes the Debug rendering (downstream snapshots).
+            assert_eq!(format!("{folded:?}"), format!("{reference:?}"));
+
+            let per_point =
+                fig10_per_point_in(&mut SessionPool::new(), threads, &predictor, &tdps).unwrap();
+            assert_eq!(
+                per_point, reference,
+                "fig10 per-point path not thread-invariant at {threads} workers"
+            );
+        }
+    }
+
+    #[test]
+    fn dram_sensitivity_sweep_is_byte_identical_to_the_per_point_path() {
+        let predictor = DemandPredictor::skylake_default();
+        let reference =
+            dram_sensitivity_per_point_in(&mut SessionPool::new(), 1, &predictor).unwrap();
+
+        for threads in THREAD_COUNTS {
+            let sweep = dram_sensitivity_in(&mut SessionPool::new(), threads, &predictor).unwrap();
+            assert_eq!(
+                sweep, reference,
+                "dram_sensitivity sweep diverged at {threads} workers"
+            );
+            assert_eq!(format!("{sweep:?}"), format!("{reference:?}"));
+        }
+
+        // The study's headline properties survive the executor change.
+        assert!(reference.lpddr3_avg_power_reduction_pct > 0.0);
+        assert!(reference.ddr4_shortfall_pct > 0.0);
+    }
+
     #[test]
     fn overheads_match_the_paper_budgets() {
         let o = overheads();
@@ -500,7 +489,13 @@ mod tests {
     #[test]
     fn fig10_gains_shrink_as_tdp_grows() {
         let predictor = DemandPredictor::skylake_default();
-        let points = fig10(&predictor, &[3.5, 15.0]).unwrap();
+        let points = fig10_fold_in(
+            &mut SessionPool::new(),
+            exec::default_threads(),
+            &predictor,
+            &[3.5, 15.0],
+        )
+        .unwrap();
         assert_eq!(points.len(), 2);
         let constrained = &points[0];
         let ample = &points[1];

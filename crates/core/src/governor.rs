@@ -100,27 +100,16 @@ pub struct MemScaleGovernor {
     /// Utilization of the *low* operating point's sustainable bandwidth above
     /// which the governor returns to the high point.
     pub upscale_utilization: f64,
-    /// Whether saved budget is redistributed (the `-Redist` variant the paper
-    /// compares against).
-    pub redistribute: bool,
 }
 
 impl MemScaleGovernor {
-    /// The plain (power-saving only) MemScale-like policy.
+    /// The power-saving MemScale-like policy. Its `-Redist` performance is
+    /// projected from the measured savings afterwards
+    /// ([`crate::project_redistributed_speedup`]).
     #[must_use]
     pub fn new() -> Self {
         Self {
             upscale_utilization: 0.55,
-            redistribute: false,
-        }
-    }
-
-    /// The `MemScale-Redist` variant used in the paper's comparison.
-    #[must_use]
-    pub fn redistributing() -> Self {
-        Self {
-            redistribute: true,
-            ..Self::new()
         }
     }
 }
@@ -151,11 +140,7 @@ fn bandwidth_utilization_of_low_point(input: &GovernorInput<'_>) -> f64 {
 
 impl Governor for MemScaleGovernor {
     fn name(&self) -> &str {
-        if self.redistribute {
-            "memscale-redist"
-        } else {
-            "memscale"
-        }
+        "memscale"
     }
 
     fn decide(&mut self, input: &GovernorInput<'_>) -> GovernorDecision {
@@ -167,7 +152,7 @@ impl Governor for MemScaleGovernor {
         };
         GovernorDecision {
             target_op: target,
-            redistribute_to_compute: self.redistribute,
+            redistribute_to_compute: false,
             cpu_freq_cap: None,
         }
     }
@@ -188,22 +173,14 @@ pub struct CoScaleGovernor {
 }
 
 impl CoScaleGovernor {
-    /// The plain CoScale-like policy.
+    /// The power-saving CoScale-like policy. Like MemScale, its `-Redist`
+    /// performance is projected afterwards.
     #[must_use]
     pub fn new() -> Self {
         Self {
             memory: MemScaleGovernor::new(),
             stall_threshold: 400_000.0,
             cpu_cap: Freq::from_ghz(1.2),
-        }
-    }
-
-    /// The `CoScale-Redist` variant used in the paper's comparison.
-    #[must_use]
-    pub fn redistributing() -> Self {
-        Self {
-            memory: MemScaleGovernor::redistributing(),
-            ..Self::new()
         }
     }
 }
@@ -216,11 +193,7 @@ impl Default for CoScaleGovernor {
 
 impl Governor for CoScaleGovernor {
     fn name(&self) -> &str {
-        if self.memory.redistribute {
-            "coscale-redist"
-        } else {
-            "coscale"
-        }
+        "coscale"
     }
 
     fn decide(&mut self, input: &GovernorInput<'_>) -> GovernorDecision {
@@ -308,8 +281,8 @@ mod tests {
     #[test]
     fn memscale_reacts_to_bandwidth_utilization_only() {
         let ladder = skylake_lpddr3_ladder();
-        let mut gov = MemScaleGovernor::redistributing();
-        assert_eq!(gov.name(), "memscale-redist");
+        let mut gov = MemScaleGovernor::new();
+        assert_eq!(gov.name(), "memscale");
         // Low bandwidth -> low point, even with huge stall counts (MemScale
         // has no latency condition).
         let mut s = CounterSet::new();
@@ -319,18 +292,18 @@ mod tests {
         w.push(s);
         let d = gov.decide(&input(&w, &ladder, 2.0));
         assert_eq!(d.target_op, ladder.lowest_id());
+        assert!(!d.redistribute_to_compute);
         // High consumed bandwidth -> high point.
         let busy = window_with(CounterKind::MemoryBandwidthBytes, 14.0e6);
         let d2 = gov.decide(&input(&busy, &ladder, 2.0));
         assert_eq!(d2.target_op, ladder.highest_id());
-        assert_eq!(MemScaleGovernor::new().name(), "memscale");
     }
 
     #[test]
     fn coscale_adds_a_cpu_cap_on_memory_bound_intervals() {
         let ladder = skylake_lpddr3_ladder();
-        let mut gov = CoScaleGovernor::redistributing();
-        assert_eq!(gov.name(), "coscale-redist");
+        let mut gov = CoScaleGovernor::new();
+        assert_eq!(gov.name(), "coscale");
         let mut s = CounterSet::new();
         s.set(CounterKind::MemoryBandwidthBytes, 14.0e6);
         s.set(CounterKind::LlcStalls, 9.0e5);
@@ -342,6 +315,5 @@ mod tests {
         let calm = window_with(CounterKind::MemoryBandwidthBytes, 2.0e6);
         let d2 = gov.decide(&input(&calm, &ladder, 2.0));
         assert!(d2.cpu_freq_cap.is_none());
-        assert_eq!(CoScaleGovernor::new().name(), "coscale");
     }
 }

@@ -84,9 +84,9 @@ pub use baselines::{
     RedistProjection,
 };
 pub use calibration::{
-    calibrate, calibration_source, derive_thresholds, fit_impact_model, measure_population,
-    measure_population_from, measure_sample, measure_sample_in, samples_from_runs,
-    CalibrationConfig, CalibrationOutcome, CalibrationSample, CalibrationScenarioSource,
+    calibrate, calibration_source, derive_thresholds, fit_impact_model, measure_population_from,
+    samples_from_runs, CalibrationConfig, CalibrationOutcome, CalibrationSample,
+    CalibrationScenarioSource,
 };
 pub use governor::{CoScaleGovernor, MemScaleGovernor, SysScaleGovernor};
 pub use predictor::{

@@ -218,9 +218,7 @@ impl GovernorRegistry {
     /// | `sysscale` | the Sec. 4 SysScale governor | full |
     /// | `sysscale-no-redist` | SysScale without redistribution | full |
     /// | `memscale` | MemScale-like memory-only DVFS | restricted |
-    /// | `memscale-redist` | MemScale with redistribution | restricted |
     /// | `coscale` | CoScale-like coordinated CPU+memory DVFS | restricted |
-    /// | `coscale-redist` | CoScale with redistribution | restricted |
     ///
     /// "Restricted" platforms keep the `V_SA`/`V_IO` rails and the IO
     /// interconnect at nominal and skip the MRC reload
@@ -249,20 +247,8 @@ impl GovernorRegistry {
                 .with_platform(memscale_config),
         ));
         r.register(Arc::new(
-            FnGovernorFactory::new("memscale-redist", || {
-                Box::new(MemScaleGovernor::redistributing())
-            })
-            .with_platform(memscale_config),
-        ));
-        r.register(Arc::new(
             FnGovernorFactory::new("coscale", || Box::new(CoScaleGovernor::new()))
                 .with_platform(memscale_config),
-        ));
-        r.register(Arc::new(
-            FnGovernorFactory::new("coscale-redist", || {
-                Box::new(CoScaleGovernor::redistributing())
-            })
-            .with_platform(memscale_config),
         ));
         r
     }
@@ -2147,9 +2133,7 @@ mod tests {
             "sysscale",
             "sysscale-no-redist",
             "memscale",
-            "memscale-redist",
             "coscale",
-            "coscale-redist",
         ] {
             let factory = registry.resolve(name).unwrap();
             assert_eq!(factory.name(), name);
@@ -2164,7 +2148,7 @@ mod tests {
     fn restricted_governors_run_on_the_memscale_platform() {
         let registry = GovernorRegistry::builtin();
         let base = SocConfig::skylake_default();
-        for name in ["memscale", "coscale", "memscale-redist", "coscale-redist"] {
+        for name in ["memscale", "coscale"] {
             let cfg = registry.resolve(name).unwrap().platform(&base);
             assert!(!cfg.reload_mrc_on_transition, "{name}");
             assert_eq!(cfg.uncore_ladder().lowest().vsa_scale, 1.0, "{name}");

@@ -2,7 +2,8 @@
 //! and produces results with the paper's qualitative shape.
 
 use sysscale::experiments::{evaluation, motivation, sensitivity};
-use sysscale::{DemandPredictor, SocConfig};
+use sysscale::types::exec;
+use sysscale::{DemandPredictor, SessionPool, SocConfig};
 
 #[test]
 fn motivation_experiments_have_the_paper_shape() {
@@ -47,13 +48,29 @@ fn motivation_experiments_have_the_paper_shape() {
 fn evaluation_figures_reproduce_the_headline_ordering() {
     let config = SocConfig::skylake_default();
     let predictor = DemandPredictor::skylake_default();
+    let (fig7, fig8, fig9) = evaluation::evaluation_figures_fold_in(
+        &mut SessionPool::new(),
+        exec::default_threads(),
+        &config,
+        &predictor,
+    )
+    .unwrap();
 
-    let fig8 = evaluation::fig8(&config, &predictor).unwrap();
+    // Fig. 7: SysScale beats both projected -Redist baselines on the SPEC
+    // suite average.
+    assert!(
+        fig7.sysscale_avg_pct > fig7.memscale_avg_pct
+            && fig7.sysscale_avg_pct > fig7.coscale_avg_pct,
+        "sysscale {} vs memscale {} vs coscale {}",
+        fig7.sysscale_avg_pct,
+        fig7.memscale_avg_pct,
+        fig7.coscale_avg_pct
+    );
+
     assert_eq!(fig8.rows.len(), 3);
     assert!(fig8.sysscale_avg_pct > fig8.memscale_avg_pct);
     assert!(fig8.sysscale_avg_pct > 3.0, "{}", fig8.sysscale_avg_pct);
 
-    let fig9 = evaluation::fig9(&config, &predictor).unwrap();
     assert_eq!(fig9.rows.len(), 4);
     assert!(fig9.sysscale_avg_pct > 3.0);
     for row in &fig9.rows {

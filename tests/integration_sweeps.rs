@@ -1,16 +1,17 @@
 //! Differential harness for the sharded sweep executor and the fold-based
 //! streaming result pipeline.
 //!
-//! Pins the PR-level invariants of `SweepSet`, the generator-backed
-//! scenario streams, and the `RunConsumer` fold paths:
+//! Pins the invariants of `SweepSet`, the generator-backed scenario
+//! streams, and the `RunConsumer` fold paths:
 //!
-//! * `fig10` and `dram_sensitivity` produce **byte-identical** output
-//!   between the old one-matrix-per-point path and the new single sharded
-//!   sweep, at 1, 2, 4, and 8 workers;
-//! * every fold-based aggregate — population calibration samples, `fig10`
-//!   TDP summaries, the Fig. 6 predictor panels, and the Figs. 7/8/9
-//!   evaluation figures — is **bit-identical** to the materialized-`RunSet`
-//!   aggregation it replaced, at the same worker counts;
+//! * the `fig10` sweep is **byte-identical** to one call per TDP point, and
+//!   its fold is **bit-identical** to the same sweep materialized as
+//!   `RunSet`s, at 1, 2, 4, and 8 workers;
+//! * fold-based population calibration samples are **bit-identical** to
+//!   the materialized-`RunSet` aggregation, at the same worker counts (the
+//!   differentials against the test-only reference paths — Fig. 6,
+//!   Figs. 7/8/9, Fig. 10 and the DRAM study — live next to those paths, in
+//!   the `experiments` modules' unit tests);
 //! * hash-sharding by platform fingerprint strictly reduces simulator
 //!   rebuilds versus round-robin on a two-platform sweep;
 //! * a pathologically cost-skewed sweep is byte-identical under both
@@ -29,19 +30,20 @@
 //! worker counts below, so the differential holds under both env-driven and
 //! pinned thread counts.
 
-use sysscale::experiments::predictor_study::PredictorStudyConfig;
-use sysscale::experiments::{evaluation, motivation, predictor_study, sensitivity};
+use sysscale::experiments::motivation;
+use sysscale::experiments::sensitivity::{self, TdpPoint};
 use sysscale::{
-    calibration_source, measure_population, measure_population_from, samples_from_runs,
-    CalibrationConfig, DemandPredictor, Scenario, ScenarioSet, ScenarioSource, SessionPool,
-    SimSession, SocConfig, SweepSet, SweepSharding,
+    calibration_source, measure_population_from, samples_from_runs, sysscale_factory,
+    CalibrationConfig, DemandPredictor, GovernorRegistry, Scenario, ScenarioSet, ScenarioSource,
+    SessionPool, SimSession, SocConfig, SweepSet, SweepSharding,
 };
 use sysscale_types::exec::Shard;
 use sysscale_types::rng::SplitMix64;
+use sysscale_types::stats::Summary;
 use sysscale_types::{Power, SimTime};
 use sysscale_workloads::{
-    class_buckets, spec_workload, ClassBucketSource, GeneratorConfig, PopulationSource,
-    WorkloadGenerator, WorkloadSource,
+    class_buckets, spec_cpu2006_suite, spec_workload, ClassBucketSource, GeneratorConfig,
+    PopulationSource, WorkloadGenerator, WorkloadSource,
 };
 
 /// The worker counts every differential below is pinned at (the acceptance
@@ -50,66 +52,87 @@ const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 #[test]
 fn fig10_sweep_is_byte_identical_to_the_per_point_path() {
+    // One two-TDP sweep vs one single-TDP call per point: the sweep's
+    // flattened batch must not let one TDP point perturb another's speedups.
     let predictor = DemandPredictor::skylake_default();
     let tdps = [3.5, 15.0];
 
-    // Reference: the old path, sequentially (1 worker is the sequential
-    // path by construction).
-    let reference =
-        sensitivity::fig10_per_point_in(&mut SessionPool::new(), 1, &predictor, &tdps).unwrap();
+    // Reference: the per-point path, sequentially (1 worker is the
+    // sequential path by construction).
+    let per_point = |threads: usize| -> Vec<_> {
+        tdps.iter()
+            .flat_map(|&tdp| {
+                sensitivity::fig10_fold_in(&mut SessionPool::new(), threads, &predictor, &[tdp])
+                    .unwrap()
+            })
+            .collect()
+    };
+    let reference = per_point(1);
     assert_eq!(reference.len(), tdps.len());
 
     for threads in THREAD_COUNTS {
-        let sweep =
-            sensitivity::fig10_in(&mut SessionPool::new(), threads, &predictor, &tdps).unwrap();
+        let sweep = sensitivity::fig10_fold_in(&mut SessionPool::new(), threads, &predictor, &tdps)
+            .unwrap();
         assert_eq!(
             sweep, reference,
             "fig10 sweep diverged from per-point at {threads} workers"
         );
         // Byte-identical includes the Debug rendering (downstream snapshots).
         assert_eq!(format!("{sweep:?}"), format!("{reference:?}"));
-
-        let per_point =
-            sensitivity::fig10_per_point_in(&mut SessionPool::new(), threads, &predictor, &tdps)
-                .unwrap();
         assert_eq!(
-            per_point, reference,
+            per_point(threads),
+            reference,
             "fig10 per-point path not thread-invariant at {threads} workers"
         );
     }
 }
 
 #[test]
-fn dram_sensitivity_sweep_is_byte_identical_to_the_per_point_path() {
+fn fold_fig10_summaries_are_bit_identical_to_the_materialized_path() {
+    // Reference: the same `TDPs × suite × {baseline, sysscale}` sweep run
+    // through the materialized `SweepSet::run_parallel`, with each point's
+    // speedups read off its `RunSet` and summarized in workload order.
     let predictor = DemandPredictor::skylake_default();
-    let reference =
-        sensitivity::dram_sensitivity_per_point_in(&mut SessionPool::new(), 1, &predictor).unwrap();
+    let tdps = [3.5, 15.0];
+    let suite = spec_cpu2006_suite();
+    let mut registry = GovernorRegistry::builtin();
+    registry.register(sysscale_factory(predictor));
+    let mut sweep = SweepSet::new();
+    for &tdp in &tdps {
+        let config = SocConfig::skylake_m_6y75(Power::from_watts(tdp));
+        sweep.push_set(
+            ScenarioSet::matrix_with(&registry, &config, &suite, &["baseline", "sysscale"])
+                .unwrap()
+                .with_baseline("baseline"),
+        );
+    }
+    let runs = sweep.run_parallel(&mut SessionPool::new(), 1).unwrap();
+    let reference: Vec<TdpPoint> = tdps
+        .iter()
+        .zip(&runs)
+        .map(|(&tdp, run)| {
+            let speedups: Vec<f64> = suite
+                .iter()
+                .map(|w| run.cell(&w.name, "sysscale").unwrap().speedup_pct)
+                .collect();
+            TdpPoint {
+                tdp_w: tdp,
+                summary: Summary::of(&speedups),
+                speedups_pct: speedups,
+            }
+        })
+        .collect();
 
     for threads in THREAD_COUNTS {
-        let sweep =
-            sensitivity::dram_sensitivity_in(&mut SessionPool::new(), threads, &predictor).unwrap();
+        let folded =
+            sensitivity::fig10_fold_in(&mut SessionPool::new(), threads, &predictor, &tdps)
+                .unwrap();
         assert_eq!(
-            sweep, reference,
-            "dram_sensitivity sweep diverged at {threads} workers"
+            folded, reference,
+            "fig10 fold diverged from the materialized path at {threads} workers"
         );
-        assert_eq!(format!("{sweep:?}"), format!("{reference:?}"));
+        assert_eq!(format!("{folded:?}"), format!("{reference:?}"));
     }
-
-    // The study's headline properties survive the executor change.
-    assert!(reference.lpddr3_avg_power_reduction_pct > 0.0);
-    assert!(reference.ddr4_shortfall_pct > 0.0);
-}
-
-#[test]
-fn evaluation_figures_sweep_equals_the_standalone_figures() {
-    // Figs. 7/8/9 as one three-suite sweep vs their standalone per-figure
-    // matrices: byte-identical.
-    let config = SocConfig::skylake_default();
-    let predictor = DemandPredictor::skylake_default();
-    let (fig7, fig8, fig9) = evaluation::evaluation_figures(&config, &predictor).unwrap();
-    assert_eq!(fig7, evaluation::fig7(&config, &predictor).unwrap());
-    assert_eq!(fig8, evaluation::fig8(&config, &predictor).unwrap());
-    assert_eq!(fig9, evaluation::fig9(&config, &predictor).unwrap());
 }
 
 #[test]
@@ -200,9 +223,9 @@ fn class_bucket_sources_match_the_materialized_buckets_across_seeds() {
 
 #[test]
 fn streamed_calibration_samples_equal_the_materialized_batch() {
-    // measure_population_from over a generator recipe vs measure_population
-    // over the materialized population: identical samples at every worker
-    // count, without ever materializing the streamed population.
+    // measure_population_from over a generator recipe vs over the
+    // materialized population: identical samples at every worker count,
+    // without ever materializing the streamed population.
     let config = SocConfig::skylake_default();
     let cal = CalibrationConfig {
         degradation_bound: 0.01,
@@ -212,7 +235,7 @@ fn streamed_calibration_samples_equal_the_materialized_batch() {
     let population = source.materialize();
 
     let reference =
-        measure_population(&mut SessionPool::new(), &config, &population, &cal, 1).unwrap();
+        measure_population_from(&mut SessionPool::new(), &config, &population, &cal, 1).unwrap();
     assert_eq!(reference.len(), 6);
     for threads in THREAD_COUNTS {
         let streamed =
@@ -257,71 +280,6 @@ fn fold_calibration_samples_are_bit_identical_to_materialized_aggregation() {
         assert_eq!(folded, reference, "threads={threads}");
         // Bit-identical includes the Debug rendering (downstream snapshots).
         assert_eq!(format!("{folded:?}"), format!("{reference:?}"));
-    }
-}
-
-#[test]
-fn fold_fig10_summaries_are_bit_identical_to_the_materialized_path() {
-    let predictor = DemandPredictor::skylake_default();
-    let tdps = [3.5, 15.0];
-    let reference = sensitivity::fig10_in(&mut SessionPool::new(), 1, &predictor, &tdps).unwrap();
-
-    for threads in THREAD_COUNTS {
-        let folded =
-            sensitivity::fig10_fold_in(&mut SessionPool::new(), threads, &predictor, &tdps)
-                .unwrap();
-        assert_eq!(
-            folded, reference,
-            "fig10 fold diverged from the materialized path at {threads} workers"
-        );
-        assert_eq!(format!("{folded:?}"), format!("{reference:?}"));
-    }
-}
-
-#[test]
-fn fold_fig6_panels_are_bit_identical_to_the_collected_reference() {
-    let study = PredictorStudyConfig {
-        workloads_per_panel: 8,
-        calibration: CalibrationConfig {
-            degradation_bound: 0.02,
-            sim_duration: SimTime::from_millis(30.0),
-        },
-        ..PredictorStudyConfig::default()
-    };
-    let base = SocConfig::skylake_default();
-    let reference =
-        predictor_study::fig6_collected_in(&mut SessionPool::new(), 1, &base, &study).unwrap();
-    assert_eq!(reference.len(), 9);
-
-    for threads in THREAD_COUNTS {
-        let folded =
-            predictor_study::fig6_in(&mut SessionPool::new(), threads, &base, &study).unwrap();
-        assert_eq!(
-            folded, reference,
-            "fig6 fold panels diverged at {threads} workers"
-        );
-        assert_eq!(format!("{folded:?}"), format!("{reference:?}"));
-    }
-}
-
-#[test]
-fn fold_evaluation_figures_are_bit_identical_to_the_materialized_figures() {
-    let config = SocConfig::skylake_default();
-    let predictor = DemandPredictor::skylake_default();
-    let reference = evaluation::evaluation_figures(&config, &predictor).unwrap();
-
-    for threads in [1, 8] {
-        let folded = evaluation::evaluation_figures_fold_in(
-            &mut SessionPool::new(),
-            threads,
-            &config,
-            &predictor,
-        )
-        .unwrap();
-        assert_eq!(
-            folded, reference,
-            "evaluation fold figures diverged at {threads} workers"
-        );
     }
 }
 
