@@ -26,8 +26,8 @@
 //!   single sharded batch, hash-sharded by platform fingerprint so each
 //!   platform's simulator is built once for the whole sweep;
 //! * [`RunConsumer`] / [`GroupFold`] — streaming result aggregation: a
-//!   consumer folds each finished cell into a per-worker accumulator
-//!   ([`SweepSet::run_parallel_fold`]), merged deterministically in worker
+//!   consumer folds each finished cell into a per-slot accumulator
+//!   ([`SweepSet::run_parallel_fold`]), merged deterministically in slot
 //!   order, so arbitrarily large sweeps aggregate on the fly in O(workers)
 //!   result memory instead of materializing one record per cell;
 //! * [`RunSet`] / [`RunCell`] — the structured result, keyed by
@@ -691,7 +691,7 @@ impl SessionPool {
     /// The first worker's session, for interleaving single
     /// [`SimSession::run`]s with pooled batches without a second cache.
     pub fn session(&mut self) -> &mut SimSession {
-        &mut self.workers_mut(1)[0]
+        &mut self.worker_sessions(1)[0]
     }
 
     /// Grows the pool to at least `n` sessions and returns the first `n`,
@@ -703,12 +703,6 @@ impl SessionPool {
     /// worker slot runs their cells — across submissions, not just within
     /// one — while the pool stays bounded by the worker count.
     pub fn worker_sessions(&mut self, n: usize) -> &mut [SimSession] {
-        self.workers_mut(n)
-    }
-
-    /// Grows the pool to at least `n` sessions and returns the first `n` as
-    /// the worker contexts of one parallel batch.
-    fn workers_mut(&mut self, n: usize) -> &mut [SimSession] {
         let n = n.max(1);
         while self.sessions.len() < n {
             self.sessions.push(SimSession::new());
@@ -1082,19 +1076,19 @@ impl fmt::Debug for MemberSource<'_> {
     }
 }
 
-/// One worker's forward pass over a lazy member's stream: the executor
-/// visits each worker's cells in ascending flat order, so the cursor only
-/// ever advances and at most one generated scenario per worker is live at a
-/// time.
+/// One forward pass over a lazy member's stream: a
+/// [`SweepSet::fold_flat_slice`] call visits its cells in ascending flat
+/// order, so the cursor only ever advances and at most one generated
+/// scenario per call is live at a time.
 struct MemberCursor<'s> {
     iter: Box<dyn Iterator<Item = Scenario> + Send + 's>,
     next: usize,
 }
 
-/// One pool worker's execution context for a sweep batch: its session plus
-/// one lazy cursor slot per member (materialized members are indexed
-/// directly — no clones, no cursor). `'p` borrows the session from the
-/// pool; `'s` borrows the member streams from the sweep.
+/// The execution context of one [`SweepSet::fold_flat_slice`] call: a
+/// session plus one lazy cursor slot per member (materialized members are
+/// indexed directly — no clones, no cursor). `'p` borrows the session from
+/// the pool; `'s` borrows the member streams from the sweep.
 struct SweepWorker<'p, 's> {
     session: &'p mut SimSession,
     cursors: Vec<Option<MemberCursor<'s>>>,
@@ -1266,12 +1260,13 @@ impl<'a> SweepSet<'a> {
         self.run_parallel_fold_sharded(pool, threads, SweepSharding::ByPlatform, consumer)
     }
 
-    /// The fold core every sweep execution runs through: each worker folds
-    /// the cells it is assigned — in ascending flat order, each executed on
-    /// a freshly reset simulator with a freshly built governor — into its
-    /// own `consumer` accumulator, and the per-worker accumulators are
-    /// merged deterministically in worker order. Result memory is
-    /// O(workers) accumulators no matter how many cells the sweep has; no
+    /// The fold core every sweep execution runs through: the sweep is
+    /// partitioned into [`SweepSet::slot_indices`], each slot's list is
+    /// folded — in ascending flat order, each cell executed on a freshly
+    /// reset simulator with a freshly built governor — into its own
+    /// `consumer` accumulator on its own pool session, and the per-slot
+    /// accumulators are merged deterministically in slot order. Result
+    /// memory is O(workers) accumulators plus the index plan; no
     /// [`RunRecord`] outlives its [`RunConsumer::fold`] call unless the
     /// consumer keeps it.
     ///
@@ -1287,55 +1282,9 @@ impl<'a> SweepSet<'a> {
         sharding: SweepSharding,
         consumer: &Q,
     ) -> SimResult<Q::Acc> {
-        let (offsets, total) = self.member_offsets();
-        let keys = self.sharding_keys(sharding);
-        let shard = shard_of(sharding, &keys);
-
-        // A worker's fold state: the consumer accumulator plus the
-        // earliest error the worker hit (after which its remaining cells
-        // are skipped — the batch fails anyway).
-        struct FoldState<A> {
-            acc: A,
-            error: Option<(usize, SimError)>,
-        }
-
-        let workers = exec::effective_workers(threads, total);
-        let mut contexts = self.sweep_workers(pool, workers);
-
-        let merged = exec::fold_indices_with_workers(
-            &mut contexts,
-            total,
-            shard,
-            || FoldState {
-                acc: consumer.accumulator(),
-                error: None,
-            },
-            |ctx, state: &mut FoldState<Q::Acc>, flat| {
-                if state.error.is_some() {
-                    return;
-                }
-                let (cell, result) = self.run_cell(ctx, &offsets, flat);
-                match result {
-                    Ok(record) => consumer.fold(&mut state.acc, cell, record),
-                    Err(error) => state.error = Some((flat, error)),
-                }
-            },
-            |into, from| {
-                // Each worker's error is its smallest-index one (ascending
-                // visit order), so the minimum across workers is the first
-                // error in flat cell order — what the sequential path
-                // reports.
-                into.error = match (into.error.take(), from.error) {
-                    (Some(a), Some(b)) => Some(if b.0 < a.0 { b } else { a }),
-                    (a, b) => a.or(b),
-                };
-                consumer.merge(&mut into.acc, from.acc);
-            },
-        );
-        match merged.error {
-            Some((_, error)) => Err(error),
-            None => Ok(merged.acc),
-        }
+        let lists = self.slot_indices(threads, sharding);
+        self.fold_lists(pool, &lists, consumer)
+            .map_err(|cell| cell.error)
     }
 
     /// Executes an explicit subset of the sweep's flat cells — `flats`, in
@@ -1367,70 +1316,80 @@ impl<'a> SweepSet<'a> {
         threads: usize,
         flats: &[usize],
     ) -> Result<Vec<(usize, RunRecord)>, CellError> {
-        let (offsets, total) = self.member_offsets();
         assert!(
             flats.windows(2).all(|w| w[0] < w[1]),
             "flat indices must be strictly ascending"
         );
-        if let Some(&last) = flats.last() {
-            assert!(last < total, "flat index {last} out of range ({total})");
-        }
-        struct SubsetState {
-            pairs: Vec<(usize, RunRecord)>,
-            error: Option<CellError>,
-        }
         let workers = exec::effective_workers(threads, flats.len());
-        let mut contexts = self.sweep_workers(pool, workers);
-        let merged = exec::fold_indices_with_workers(
-            &mut contexts,
-            flats.len(),
-            exec::Shard::RoundRobin,
-            || SubsetState {
-                pairs: Vec::new(),
-                error: None,
-            },
-            |ctx, state: &mut SubsetState, position| {
-                if state.error.is_some() {
-                    return;
-                }
-                let flat = flats[position];
-                let (_, result) = self.run_cell(ctx, &offsets, flat);
-                match result {
-                    Ok(record) => state.pairs.push((flat, record)),
-                    Err(error) => state.error = Some(CellError { flat, error }),
-                }
-            },
-            |into, from| {
-                into.error = match (into.error.take(), from.error) {
-                    (Some(a), Some(b)) => Some(if b.flat < a.flat { b } else { a }),
-                    (a, b) => a.or(b),
-                };
-                into.pairs.extend(from.pairs);
-            },
-        );
-        match merged.error {
+        let lists: Vec<Vec<usize>> = (0..workers)
+            .map(|w| flats.iter().skip(w).step_by(workers).copied().collect())
+            .collect();
+        self.fold_lists(pool, &lists, &CollectRuns)
+            .map(CollectRuns::into_flat_records)
+    }
+
+    /// Folds each ascending flat-index list into its own `consumer`
+    /// accumulator through [`SweepSet::fold_flat_slice`] — one scoped
+    /// thread and pool session per list, inline when there is only one —
+    /// and merges the list accumulators in list order. A list stops at its
+    /// first failing cell; the smallest failing flat across all lists is
+    /// the first error in flat order, which is what the sequential path
+    /// reports.
+    fn fold_lists<Q: RunConsumer>(
+        &self,
+        pool: &mut SessionPool,
+        lists: &[Vec<usize>],
+        consumer: &Q,
+    ) -> Result<Q::Acc, CellError> {
+        let fold = |session: &mut SimSession, list: &[usize]| {
+            let mut acc = consumer.accumulator();
+            let error = self
+                .fold_flat_slice(session, list, consumer, &mut acc)
+                .err();
+            (acc, error)
+        };
+        let sessions = pool.worker_sessions(lists.len());
+        let folded: Vec<(Q::Acc, Option<CellError>)> = if lists.len() == 1 {
+            vec![fold(&mut sessions[0], &lists[0])]
+        } else {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = sessions
+                    .iter_mut()
+                    .zip(lists)
+                    .map(|(session, list)| scope.spawn(move || fold(session, list)))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|handle| handle.join().expect("sweep worker panicked"))
+                    .collect()
+            })
+        };
+        let mut folded = folded.into_iter();
+        let (mut merged, mut first_error) = folded.next().expect("at least one list");
+        for (acc, error) in folded {
+            consumer.merge(&mut merged, acc);
+            first_error = match (first_error, error) {
+                (Some(a), Some(b)) => Some(if b.flat < a.flat { b } else { a }),
+                (a, b) => a.or(b),
+            };
+        }
+        match first_error {
             Some(error) => Err(error),
-            None => {
-                let mut pairs = merged.pairs;
-                pairs.sort_unstable_by_key(|(flat, _)| *flat);
-                Ok(pairs)
-            }
+            None => Ok(merged),
         }
     }
 
     /// The per-worker flat-index lists the parallel fold partitions this
-    /// sweep into, for `threads` requested workers under `sharding` — the
-    /// worker count is clamped exactly like
-    /// [`SweepSet::run_parallel_fold_sharded`] clamps it
-    /// ([`exec::effective_workers`]), and the shard keys are computed by
-    /// the same code path, so element `w` is precisely the ascending cell
-    /// list worker `w` of the in-process fold would visit.
+    /// sweep into, for `threads` requested workers under `sharding` (the
+    /// worker count clamped by [`exec::effective_workers`]). Element `w` is
+    /// the ascending cell list slot `w` of
+    /// [`SweepSet::run_parallel_fold_sharded`] folds.
     ///
-    /// This is the planning half of an externally driven fold: a scheduler
-    /// that executes each slot's list in order (in any interleaving with
-    /// other work, e.g. via [`SweepSet::fold_flat_slice`] at lease
-    /// boundaries) and merges the slot accumulators in slot order
-    /// reproduces the in-process fold byte for byte.
+    /// This is the plan every executor runs: a scheduler that folds each
+    /// slot's list in order through [`SweepSet::fold_flat_slice`] — whole,
+    /// or cut into leases with one accumulator each — and merges the
+    /// accumulators in plan order reproduces the in-process fold byte for
+    /// byte.
     #[must_use]
     pub fn slot_indices(&self, threads: usize, sharding: SweepSharding) -> Vec<Vec<usize>> {
         let total = self.cells();
@@ -1438,18 +1397,27 @@ impl<'a> SweepSet<'a> {
         if total == 0 {
             return vec![Vec::new(); workers];
         }
-        let keys = self.sharding_keys(sharding);
-        shard_of(sharding, &keys).worker_lists(total, workers)
+        match sharding {
+            SweepSharding::RoundRobin => exec::Shard::RoundRobin.worker_lists(total, workers),
+            SweepSharding::ByPlatform => {
+                let keys: Vec<u64> = self
+                    .members
+                    .iter()
+                    .flat_map(|(m, _)| m.as_source().shard_keys())
+                    .collect();
+                exec::Shard::ByKey(&keys).worker_lists(total, workers)
+            }
+        }
     }
 
     /// Executes an ascending slice of flat cells on **one** session,
     /// folding each finished record into the caller's accumulator. This is
-    /// the execution half of an externally driven fold (see
-    /// [`SweepSet::slot_indices`]): because every cell runs on a freshly
-    /// reset simulator with a freshly built governor, folding a slot's
-    /// list in order — across any number of `fold_flat_slice` calls, on
-    /// any session — produces an accumulator byte-identical to the one the
-    /// in-process worker builds.
+    /// the one execution step of every executor: the in-process fold, the
+    /// sweep service and the distributed workers all run cells through it
+    /// (see [`SweepSet::slot_indices`] for the plan). Because every cell
+    /// runs on a freshly reset simulator with a freshly built governor,
+    /// the result depends only on which cells are folded into which
+    /// accumulator, never on the session or the thread.
     ///
     /// # Errors
     ///
@@ -1490,20 +1458,6 @@ impl<'a> SweepSet<'a> {
         Ok(())
     }
 
-    /// The shard keys the sharding strategy partitions by — shared by
-    /// [`SweepSet::run_parallel_fold_sharded`] and
-    /// [`SweepSet::slot_indices`] so both compute the identical partition.
-    fn sharding_keys(&self, sharding: SweepSharding) -> Vec<u64> {
-        match sharding {
-            SweepSharding::RoundRobin => Vec::new(),
-            SweepSharding::ByPlatform => self
-                .members
-                .iter()
-                .flat_map(|(m, _)| m.as_source().shard_keys())
-                .collect(),
-        }
-    }
-
     /// Member start offsets (by flat index) and the total cell count.
     fn member_offsets(&self) -> (Vec<usize>, usize) {
         let mut offsets = Vec::with_capacity(self.members.len());
@@ -1513,21 +1467,6 @@ impl<'a> SweepSet<'a> {
             total += member.as_source().len();
         }
         (offsets, total)
-    }
-
-    /// Builds one [`SweepWorker`] per pool session for a batch of `workers`.
-    fn sweep_workers<'p, 's>(
-        &'s self,
-        pool: &'p mut SessionPool,
-        workers: usize,
-    ) -> Vec<SweepWorker<'p, 's>> {
-        pool.workers_mut(workers)
-            .iter_mut()
-            .map(|session| SweepWorker {
-                session,
-                cursors: self.members.iter().map(|_| None).collect(),
-            })
-            .collect()
     }
 
     /// Executes one flat cell on a worker context: resolves the owning
@@ -1575,17 +1514,6 @@ impl<'a> SweepSet<'a> {
     }
 }
 
-/// Maps a [`SweepSharding`] strategy onto the borrowed-input
-/// [`exec::Shard`] it runs as. Kept as one function so every caller
-/// (the in-process fold, [`SweepSet::slot_indices`]) agrees on the
-/// mapping.
-fn shard_of(sharding: SweepSharding, keys: &[u64]) -> exec::Shard<'_> {
-    match sharding {
-        SweepSharding::RoundRobin => exec::Shard::RoundRobin,
-        SweepSharding::ByPlatform => exec::Shard::ByKey(keys),
-    }
-}
-
 // ---------------------------------------------------------------------------
 // RunConsumer / GroupFold
 // ---------------------------------------------------------------------------
@@ -1602,27 +1530,28 @@ pub struct CellId {
 }
 
 /// Streaming aggregation of sweep results: a consumer folds each finished
-/// cell's [`RunRecord`] into a per-worker accumulator, and the accumulators
-/// are merged deterministically in worker order
-/// ([`SweepSet::run_parallel_fold`]).
+/// cell's [`RunRecord`] into one accumulator per slot of the plan
+/// ([`SweepSet::slot_indices`]) — or per lease, when an executor cuts the
+/// slots into leases — and the accumulators are merged deterministically
+/// in plan order ([`SweepSet::run_parallel_fold`]).
 ///
 /// ## Contract
 ///
-/// * **fold** is called exactly once per cell, with each worker receiving
-///   its cells in ascending flat order. The record is passed by value — a
-///   consumer that drops it (after extracting its aggregate) is what makes
-///   sweep result memory O(workers).
+/// * **fold** is called exactly once per cell, with each accumulator
+///   receiving its cells in ascending flat order. The record is passed by
+///   value — a consumer that drops it (after extracting its aggregate) is
+///   what makes sweep result memory O(workers).
 /// * **merge** combines two accumulators. For the final accumulator to be
 ///   bit-identical at every worker count and under every
 ///   [`SweepSharding`], the fold/merge pair must be insensitive to how the
-///   cell stream is partitioned across workers: either each accumulator
-///   entry is owned by a fixed cell subset (per-cell or per-group slots, as
-///   [`GroupFold`] provides), or the folded operation is associative *and*
-///   commutative in exact arithmetic. Plain floating-point accumulation is
+///   cell stream is partitioned into slots and leases: either each
+///   accumulator entry is owned by a fixed cell subset (per-cell or
+///   per-group slots, as [`GroupFold`] provides), or the folded operation
+///   is associative *and* commutative in exact arithmetic. Plain floating-point accumulation is
 ///   neither — fold per-cell values into slots and reduce them in a fixed
 ///   order instead.
-/// * **accumulator** builds one fresh (empty) accumulator per worker;
-///   merging an untouched accumulator must be a no-op.
+/// * **accumulator** builds one fresh (empty) accumulator per slot or
+///   lease; merging an untouched accumulator must be a no-op.
 /// * **partial sweeps**: an executor running in explicit partial-result
 ///   mode (the distributed executor's quarantine path) simply never calls
 ///   `fold` for a quarantined cell — the "exactly once per cell" guarantee
@@ -1632,7 +1561,7 @@ pub struct CellId {
 ///   value for every slot (e.g. fixed-size group reductions) should not be
 ///   used with partial sweeps unless they tolerate unfilled slots.
 pub trait RunConsumer: Sync {
-    /// The per-worker accumulator type.
+    /// The per-slot (or per-lease) accumulator type.
     type Acc: Send;
 
     /// One fresh, empty accumulator.
@@ -1641,7 +1570,7 @@ pub trait RunConsumer: Sync {
     /// Folds one finished cell into the accumulator.
     fn fold(&self, acc: &mut Self::Acc, cell: CellId, record: RunRecord);
 
-    /// Merges a later worker's accumulator into an earlier worker's.
+    /// Merges a later accumulator (in plan order) into an earlier one.
     fn merge(&self, into: &mut Self::Acc, from: Self::Acc);
 }
 
@@ -2379,25 +2308,33 @@ mod tests {
         }
     }
 
-    #[test]
-    fn slot_indices_with_fold_flat_slice_match_the_one_shot_fold() {
-        // The externally driven fold (slot_indices + fold_flat_slice +
-        // IncrementalFold, with slots chopped into cost-quantile leases)
-        // must reproduce run_parallel_fold_sharded byte for byte — this is
-        // the determinism contract the shared sweep-service scheduler
-        // rests on.
+    /// Two baseline/md-dvfs matrices over gamess and lbm on two distinct
+    /// platforms: eight cells, two shard keys.
+    fn two_platform_sweep() -> SweepSet<'static> {
         let workloads = vec![
             spec_workload("gamess").unwrap(),
             spec_workload("lbm").unwrap(),
         ];
-        let config_a = SocConfig::skylake_default();
-        let config_b = SocConfig::skylake_m_6y75(sysscale_types::Power::from_watts(9.0));
         let mut sweep = SweepSet::new();
-        for config in [&config_a, &config_b] {
+        for config in [
+            SocConfig::skylake_default(),
+            SocConfig::skylake_m_6y75(sysscale_types::Power::from_watts(9.0)),
+        ] {
             sweep.push_set(
-                ScenarioSet::matrix(config, &workloads, &["baseline", "md-dvfs"]).unwrap(),
+                ScenarioSet::matrix(&config, &workloads, &["baseline", "md-dvfs"]).unwrap(),
             );
         }
+        sweep
+    }
+
+    #[test]
+    fn slot_indices_with_fold_flat_slice_match_the_one_shot_fold() {
+        // The sweep service's execution: every slot chopped into
+        // cost-quantile leases, each lease folded into its own accumulator
+        // through fold_flat_slice in any order, and the accumulators merged
+        // in plan order. It must reproduce run_parallel_fold_sharded byte
+        // for byte.
+        let sweep = two_platform_sweep();
         let costs = sweep.cell_costs();
 
         for sharding in [SweepSharding::ByPlatform, SweepSharding::RoundRobin] {
@@ -2411,45 +2348,107 @@ mod tests {
                     )
                     .unwrap();
 
-                let slots = sweep.slot_indices(threads, sharding);
-                let mut fold =
-                    exec::IncrementalFold::new(slots.len(), || CollectRuns.accumulator());
-                let mut pool = SessionPool::new();
-                // Execute each slot as a sequence of cost-quantile leases,
-                // deliberately interleaved round-robin across slots (the
-                // scheduler interleaves submissions the same way).
-                let mut leases: Vec<std::collections::VecDeque<Vec<usize>>> = slots
+                // Plan order: slot by slot, lease by lease.
+                let leases: Vec<Vec<usize>> = sweep
+                    .slot_indices(threads, sharding)
                     .iter()
-                    .map(|list| {
-                        exec::cost_quantile_chunks(list, |flat| costs[flat], 3)
-                            .into_iter()
-                            .collect()
+                    .flat_map(|list| exec::cost_quantile_chunks(list, |flat| costs[flat], 3))
+                    .collect();
+                // Run the leases last to first on one session, then merge
+                // their accumulators in plan order.
+                let mut pool = SessionPool::new();
+                let mut accs: Vec<Vec<(usize, RunRecord)>> = leases
+                    .iter()
+                    .rev()
+                    .map(|lease| {
+                        let mut acc = CollectRuns.accumulator();
+                        sweep
+                            .fold_flat_slice(pool.session(), lease, &CollectRuns, &mut acc)
+                            .unwrap();
+                        acc
                     })
                     .collect();
-                while leases.iter().any(|q| !q.is_empty()) {
-                    for (slot, queue) in leases.iter_mut().enumerate() {
-                        let Some(lease) = queue.pop_front() else {
-                            continue;
-                        };
-                        let first = lease.first().copied().unwrap_or(0);
-                        let mut acc = fold.checkout(slot, first);
-                        let next = lease.last().copied().unwrap_or(0) + 1;
-                        sweep
-                            .fold_flat_slice(
-                                &mut pool.worker_sessions(1)[0],
-                                &lease,
-                                &CollectRuns,
-                                &mut acc,
-                            )
-                            .unwrap();
-                        fold.restore(slot, acc, next);
-                    }
+                accs.reverse();
+                let mut accs = accs.into_iter();
+                let mut got = accs.next().unwrap();
+                for acc in accs {
+                    CollectRuns.merge(&mut got, acc);
                 }
-                assert!(fold.is_idle());
-                let got = fold.finish(|into, from| CollectRuns.merge(into, from));
                 assert_eq!(got, expected, "threads={threads} sharding={sharding:?}");
             }
         }
+    }
+
+    /// Records the order cells reach the accumulators: fold appends the
+    /// flat index, merge concatenates.
+    struct VisitOrder;
+
+    impl RunConsumer for VisitOrder {
+        type Acc = Vec<usize>;
+
+        fn accumulator(&self) -> Vec<usize> {
+            Vec::new()
+        }
+
+        fn fold(&self, acc: &mut Vec<usize>, cell: CellId, _: RunRecord) {
+            acc.push(cell.flat);
+        }
+
+        fn merge(&self, into: &mut Vec<usize>, from: Vec<usize>) {
+            into.extend(from);
+        }
+    }
+
+    #[test]
+    fn fold_visits_each_slot_in_ascending_order_and_merges_in_slot_order() {
+        // The merged visit order is the plan itself: every slot's list in
+        // ascending flat order, slots concatenated in slot order — at one
+        // worker (the inline path) and across scoped threads.
+        let sweep = two_platform_sweep();
+        for sharding in [SweepSharding::ByPlatform, SweepSharding::RoundRobin] {
+            for threads in [1, 2, 3] {
+                let plan = sweep.slot_indices(threads, sharding);
+                assert!(plan.iter().all(|list| list.windows(2).all(|w| w[0] < w[1])));
+                let visited = sweep
+                    .run_parallel_fold_sharded(
+                        &mut SessionPool::new(),
+                        threads,
+                        sharding,
+                        &VisitOrder,
+                    )
+                    .unwrap();
+                assert_eq!(
+                    visited,
+                    plan.concat(),
+                    "threads={threads} sharding={sharding:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn run_flat_indices_returns_the_subset_of_the_full_sweep() {
+        let sweep = two_platform_sweep();
+        let full = CollectRuns::into_flat_records(
+            sweep
+                .run_parallel_fold(&mut SessionPool::new(), 2, &CollectRuns)
+                .unwrap(),
+        );
+        let subset = [0usize, 2, 3, 5, 7];
+        let expected: Vec<(usize, RunRecord)> = full
+            .into_iter()
+            .filter(|(flat, _)| subset.contains(flat))
+            .collect();
+        for threads in [1, 2, 3, 8] {
+            let got = sweep
+                .run_flat_indices(&mut SessionPool::new(), threads, &subset)
+                .unwrap();
+            assert_eq!(got, expected, "threads={threads}");
+        }
+        let none = sweep
+            .run_flat_indices(&mut SessionPool::new(), 4, &[])
+            .unwrap();
+        assert!(none.is_empty());
     }
 
     #[test]

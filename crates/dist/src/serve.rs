@@ -35,13 +35,14 @@
 //! admission order), so a small sweep rides along inside a big sweep's
 //! pool instead of queueing behind it — small-sweep latency under mixed
 //! load drops by the big sweep's residual runtime. Determinism survives
-//! the interleaving because a submission's slot accumulators live in an
-//! [`IncrementalFold`]: a worker checks a slot out at a lease boundary,
-//! folds the lease's cells in ascending flat order on a freshly reset
-//! simulator per cell, and restores the accumulator; the merge at the end
-//! is in slot order, so the result is byte-identical to
-//! [`SweepSet::run_parallel_fold`] of the same recipe at the configured
-//! worker count, regardless of what else is in flight.
+//! the interleaving because every lease folds into its own accumulator: a
+//! worker runs the lease's cells through [`SweepSet::fold_flat_slice`] in
+//! ascending flat order on a freshly reset simulator per cell, and the
+//! submission keeps the result at the lease's position in the plan. The
+//! merge at the end is in plan order (slot by slot, lease by lease), so
+//! the result is byte-identical to [`SweepSet::run_parallel_fold`] of the
+//! same recipe at the configured worker count, regardless of what else is
+//! in flight.
 //!
 //! Queueing delay and execution time are measured per request into
 //! [`RequestSample`]s, which [`StressMetrics::from_samples`] reduces to
@@ -59,6 +60,7 @@
 //!
 //! [`SweepSet::run_parallel_fold`]: sysscale::SweepSet::run_parallel_fold
 //! [`SweepSet::slot_indices`]: sysscale::SweepSet::slot_indices
+//! [`SweepSet::fold_flat_slice`]: sysscale::SweepSet::fold_flat_slice
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{Read, Write};
@@ -67,7 +69,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-use sysscale::types::exec::{self, IncrementalFold};
+use sysscale::types::exec;
 use sysscale::{
     CellError, CollectRuns, ProgressTap, RunConsumer, RunRecord, ScenarioSet, SessionPool,
     SimSession,
@@ -493,33 +495,35 @@ type CollectAcc = <CollectRuns as RunConsumer>::Acc;
 /// and the client port.
 type SweepConsumer = Arc<dyn RunConsumer<Acc = CollectAcc> + Send + Sync>;
 
-/// One contiguous-by-slot-order unit of work: an ascending flat-index run
-/// plus its summed cell cost (the scheduler's fairness weight).
+/// One contiguous-by-slot-order unit of work: an ascending flat-index run,
+/// its position in the submission's plan (which accumulator it fills) and
+/// its summed cell cost (the scheduler's fairness weight).
 struct Lease {
     flats: Vec<usize>,
+    index: usize,
     cost: u128,
 }
 
 /// One slot (= one in-process fold worker) of an active submission: its
-/// remaining leases in ascending order, whether a worker currently holds
-/// its accumulator, and the slot's first error if it hit one.
+/// remaining leases in ascending order, whether a worker is running one
+/// of them, and the slot's first error if it hit one.
 struct SlotQueue {
     leases: VecDeque<Lease>,
     busy: bool,
     error: Option<(usize, SimError)>,
 }
 
-/// A submission being executed by the shared pool. The `fold` holds one
-/// accumulator per slot — workers check accumulators out at lease
-/// boundaries and restore them, and the slot-order merge at completion
-/// reproduces the in-process fold's merge exactly.
+/// A submission being executed by the shared pool. `fold` holds one
+/// accumulator per lease, indexed by plan position and filled as leases
+/// complete; the plan-order merge at completion reproduces the in-process
+/// fold's result exactly.
 struct ActiveSweep {
     seq: u64,
     submit_id: u64,
     port: Arc<ClientPort>,
     sets: Arc<Vec<ScenarioSet>>,
     consumer: SweepConsumer,
-    fold: IncrementalFold<CollectAcc>,
+    fold: Vec<Option<CollectAcc>>,
     slots: Vec<SlotQueue>,
     /// Total cell cost of leases handed to workers so far — the fairness
     /// currency: a free worker serves the active submission with the
@@ -537,8 +541,7 @@ struct WorkItem {
     sets: Arc<Vec<ScenarioSet>>,
     consumer: SweepConsumer,
     slot: usize,
-    flats: Vec<usize>,
-    acc: CollectAcc,
+    lease: Lease,
 }
 
 struct SchedState {
@@ -624,8 +627,10 @@ impl Scheduler {
         }
 
         // The same partition the in-process fold at `workers` threads
-        // computes, each slot cut into cost-quantile leases.
+        // computes, each slot cut into cost-quantile leases numbered in
+        // plan order.
         let costs = sweep.cell_costs();
+        let mut leases = 0;
         let slots: Vec<SlotQueue> = sweep
             .slot_indices(self.workers, sharding)
             .into_iter()
@@ -638,7 +643,9 @@ impl Scheduler {
                         .into_iter()
                         .map(|flats| {
                             let cost = flats.iter().map(|&f| u128::from(costs[f].max(1))).sum();
-                            Lease { flats, cost }
+                            let index = leases;
+                            leases += 1;
+                            Lease { flats, index, cost }
                         })
                         .collect()
                 };
@@ -664,14 +671,13 @@ impl Scheduler {
             }
         });
         let consumer: SweepConsumer = Arc::new(tap);
-        let fold = IncrementalFold::new(slots.len(), || consumer.accumulator());
         let entry = ActiveSweep {
             seq: self.next_seq.fetch_add(1, Ordering::SeqCst),
             submit_id,
             port,
             sets,
             consumer,
-            fold,
+            fold: (0..leases).map(|_| None).collect(),
             slots,
             served_cost: 0,
             queued_micros: None,
@@ -737,18 +743,16 @@ impl Scheduler {
         if entry.queued_micros.is_none() {
             entry.queued_micros = Some(micros_since(entry.accepted));
         }
-        let acc = entry.fold.checkout(slot, lease.flats[0]);
         Some(WorkItem {
             seq: entry.seq,
             sets: Arc::clone(&entry.sets),
             consumer: Arc::clone(&entry.consumer),
             slot,
-            flats: lease.flats,
-            acc,
+            lease,
         })
     }
 
-    /// Returns a lease's accumulator. A lease error poisons its slot the
+    /// Stores a lease's accumulator. A lease error poisons its slot the
     /// way the in-process fold does: the slot's remaining leases are
     /// dropped (its worker would skip them), other slots run to
     /// completion, and the earliest flat-index error wins at finalize.
@@ -758,7 +762,7 @@ impl Scheduler {
         &self,
         seq: u64,
         slot: usize,
-        flats: &[usize],
+        lease: usize,
         acc: CollectAcc,
         error: Option<CellError>,
     ) -> Option<ActiveSweep> {
@@ -769,8 +773,7 @@ impl Scheduler {
             .position(|entry| entry.seq == seq)
             .expect("completed lease for unknown submission");
         let entry = &mut state.active[index];
-        let next = flats.last().copied().unwrap_or(0) + 1;
-        entry.fold.restore(slot, acc, next);
+        entry.fold[lease] = Some(acc);
         entry.slots[slot].busy = false;
         if let Some(cell_error) = error {
             entry.slots[slot].error = Some((cell_error.flat, cell_error.error));
@@ -816,18 +819,20 @@ fn shared_executor(
     (pool.workers(), pool.cached_platforms())
 }
 
-/// One pool worker: pull a lease, fold its cells on this session, return
-/// the accumulator; finalize the submission when its last lease lands.
+/// One pool worker: pull a lease, fold its cells into a fresh accumulator
+/// on this session, hand it back; finalize the submission when its last
+/// lease lands.
 fn worker_loop(scheduler: &Scheduler, session: &mut SimSession, shared: &ServeShared) {
     while let Some(work) = scheduler.next_lease() {
         // Rebuilding the borrow-only SweepSet per lease is a few pointer
         // pushes; the scenario data lives in the shared Arc.
         let sweep = sweep_from_sets(&work.sets);
-        let mut acc = work.acc;
+        let mut acc = work.consumer.accumulator();
         let error = sweep
-            .fold_flat_slice(session, &work.flats, work.consumer.as_ref(), &mut acc)
+            .fold_flat_slice(session, &work.lease.flats, work.consumer.as_ref(), &mut acc)
             .err();
-        if let Some(entry) = scheduler.complete_lease(work.seq, work.slot, &work.flats, acc, error)
+        if let Some(entry) =
+            scheduler.complete_lease(work.seq, work.slot, work.lease.index, acc, error)
         {
             finalize_submission(entry, shared);
         }
@@ -861,7 +866,13 @@ fn finalize_submission(entry: ActiveSweep, shared: &ServeShared) {
     shared.queue_depth.fetch_sub(1, Ordering::SeqCst);
     match error {
         None => {
-            let acc = fold.finish(|into, from| consumer.merge(into, from));
+            let mut accs = fold
+                .into_iter()
+                .map(|acc| acc.expect("every lease completed"));
+            let mut acc = accs.next().expect("a submission has at least one lease");
+            for lease in accs {
+                consumer.merge(&mut acc, lease);
+            }
             let records = CollectRuns::into_flat_records(acc);
             let cells = records.len() as u64;
             for (flat, record) in &records {

@@ -13,7 +13,7 @@ use std::io::{BufReader, BufWriter, Read, Write};
 
 use sysscale::{RunRecord, SessionPool};
 
-use crate::proto::Message;
+use crate::proto::{LeaseIndices, Message};
 use crate::recipe::{sweep_from_sets, SweepRecipe};
 
 /// Fault-injection hook for the dispatcher's re-issue tests: when set to
@@ -69,6 +69,27 @@ fn hang_forever() -> ! {
     loop {
         std::thread::sleep(std::time::Duration::from_secs(3600));
     }
+}
+
+/// Expands a lease's flat indices, or returns `None` if any of them lies
+/// past a sweep of `total` cells. A stepped lease is checked before it is
+/// expanded — its count against `total`, its last index with checked
+/// arithmetic — so a corrupt or hostile frame can neither request a huge
+/// allocation nor overflow.
+fn lease_flats(indices: &LeaseIndices, total: usize) -> Option<Vec<usize>> {
+    if indices.is_empty() {
+        return Some(Vec::new());
+    }
+    let last = match indices {
+        LeaseIndices::Stepped { start, step, count } => {
+            if *count > total as u64 {
+                return None;
+            }
+            (count - 1).checked_mul(*step)?.checked_add(*start)?
+        }
+        LeaseIndices::Explicit(flats) => *flats.last()?,
+    };
+    (last < total as u64).then(|| indices.expand())
 }
 
 /// Runs the worker protocol loop over the given byte channel until
@@ -153,12 +174,11 @@ pub fn worker_main(rx: impl Read, tx: impl Write) -> Result<(), String> {
     loop {
         match Message::read_from(&mut rx) {
             Ok(Some(Message::Lease { lease_id, indices })) => {
-                let flats = indices.expand();
-                if flats.last().is_some_and(|&last| last >= total) {
+                let Some(flats) = lease_flats(&indices, total) else {
                     return Err(format!(
                         "lease {lease_id} indexes past the sweep ({total} cells)"
                     ));
-                }
+                };
                 // Signal liveness before the first (possibly long) batch so
                 // the dispatcher's heartbeat watchdog never mistakes lease
                 // startup for a hang.
@@ -310,24 +330,43 @@ mod tests {
     fn worker_rejects_a_lease_past_the_sweep() {
         let recipe = tiny_recipe();
         let total = recipe.total_cells();
-        let mut input = Vec::new();
+        let mut job = Vec::new();
         Message::Job {
             worker_slot: 0,
             batch_cells: 4,
             quarantine: false,
             recipe: recipe.encode(),
         }
-        .write_to(&mut input)
-        .unwrap();
-        Message::Lease {
-            lease_id: 9,
-            indices: LeaseIndices::from_flats(&[total]),
-        }
-        .write_to(&mut input)
+        .write_to(&mut job)
         .unwrap();
 
-        let mut output = Vec::new();
-        let err = worker_main(&input[..], &mut output).unwrap_err();
-        assert!(err.contains("lease 9"), "got: {err}");
+        // One index past the end; a count no sweep has (expanding it
+        // overflows the allocation size); and a stride whose last index
+        // overflows u64.
+        let hostile = [
+            LeaseIndices::from_flats(&[total]),
+            LeaseIndices::Stepped {
+                start: 0,
+                step: 1,
+                count: u64::MAX,
+            },
+            LeaseIndices::Stepped {
+                start: 1,
+                step: u64::MAX,
+                count: 2,
+            },
+        ];
+        for indices in hostile {
+            let mut input = job.clone();
+            Message::Lease {
+                lease_id: 9,
+                indices: indices.clone(),
+            }
+            .write_to(&mut input)
+            .unwrap();
+            let mut output = Vec::new();
+            let err = worker_main(&input[..], &mut output).unwrap_err();
+            assert!(err.contains("lease 9"), "{indices:?}: {err}");
+        }
     }
 }

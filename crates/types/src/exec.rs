@@ -1,71 +1,33 @@
-//! A small, deterministic, work-stealing-free scoped worker pool.
+//! Static work partitioning and worker-count resolution for the cell
+//! matrix.
 //!
 //! The SysScale evaluation is an embarrassingly parallel matrix of
-//! independent simulation cells. This module provides the minimal execution
-//! primitive that matrix needs — and deliberately nothing more:
+//! independent simulation cells. Executing cells is the scenario layer's
+//! job (`SweepSet::fold_flat_slice` in the `sysscale` crate); this module
+//! holds the scheduling-free pieces every executor plans with:
 //!
-//! * **static sharding** — the item→worker assignment is a pure function of
-//!   `(item index, worker count, shard strategy)`. There is no work stealing
-//!   and no shared queue, so every run of the same input is scheduled
-//!   identically. Two strategies exist ([`Shard`]): plain round-robin
-//!   (worker `w` of `n` processes items `w, w + n, w + 2n, …`) and keyed
-//!   sharding (items sharing a key — e.g. simulation cells on the same
-//!   platform — are grouped onto as few workers as possible while keeping
-//!   every worker busy; see [`Shard::ByKey`]);
-//! * **index-driven streaming folds** — [`fold_indices_with_workers`] hands
-//!   each worker bare indices, always in ascending order, instead of slice
-//!   elements, so callers can pull items from a lazy per-worker generator
-//!   and never materialize the full input. Each worker folds its index
-//!   stream into a per-worker accumulator, and the accumulators are merged
-//!   deterministically in worker order, so callers can aggregate
-//!   arbitrarily large batches without materializing one result per item;
-//! * **scoped threads** — built on [`std::thread::scope`], so borrowed items
-//!   and per-worker contexts need no `'static` lifetimes and no reference
-//!   counting;
-//! * **resumable folds** — [`Shard::worker_lists`],
-//!   [`cost_quantile_chunks`] and [`IncrementalFold`] run the same fold in
-//!   suspendable pieces, bit-identical to the one-shot fold.
+//! * **static sharding** — [`Shard`] assigns items to workers as a pure
+//!   function of `(item index, worker count, strategy)`, and
+//!   [`Shard::worker_lists`] turns the assignment into one ascending index
+//!   list per worker. There is no work stealing and no shared queue, so
+//!   every run of the same input is partitioned identically. Two
+//!   strategies exist: plain round-robin (worker `w` of `n` gets items
+//!   `w, w + n, w + 2n, …`) and keyed sharding (items sharing a key — e.g.
+//!   simulation cells on the same platform — are grouped onto as few
+//!   workers as possible while keeping every worker busy; see
+//!   [`Shard::ByKey`]);
+//! * **lease sizing** — [`cost_quantile_chunks`] cuts a worker's list into
+//!   contiguous, cost-balanced pieces that an executor can run one at a
+//!   time;
+//! * **worker counts** — [`effective_workers`] clamps a requested count to
+//!   the input, and [`resolve_parallelism`] (with [`default_threads`] and
+//!   [`default_procs`]) resolves it from a CLI value, the environment and
+//!   the detected cores.
 //!
-//! Determinism caveat: the pool guarantees deterministic *scheduling* and
-//! *merge order*. Bit-identical results additionally require that the
-//! folded function itself is a pure function of `(index, worker context)`
-//! and that per-worker contexts are interchangeable (e.g. caches only).
-//!
-//! ## Example
-//!
-//! ```
-//! use sysscale_types::exec;
-//!
-//! // Square every item into a per-index slot: the result is the same at
-//! // every worker count and under either strategy.
-//! let items = [1u64, 2, 3, 4, 5];
-//! let mut contexts = vec![(); 2];
-//! let squares = exec::fold_indices_with_workers(
-//!     &mut contexts,
-//!     items.len(),
-//!     exec::Shard::RoundRobin,
-//!     || vec![0u64; items.len()],
-//!     |(), slots: &mut Vec<u64>, i| slots[i] = items[i] * items[i],
-//!     |into, from| into.iter_mut().zip(from).for_each(|(a, b)| *a += b),
-//! );
-//! assert_eq!(squares, vec![1, 4, 9, 16, 25]);
-//!
-//! // Per-worker mutable contexts (one counter per worker):
-//! let mut visits = vec![0usize; 2];
-//! let sum = exec::fold_indices_with_workers(
-//!     &mut visits,
-//!     items.len(),
-//!     exec::Shard::RoundRobin,
-//!     || 0u64,
-//!     |seen, acc, i| {
-//!         *seen += 1;
-//!         *acc += items[i];
-//!     },
-//!     |into, from| *into += from,
-//! );
-//! assert_eq!(sum, 15);
-//! assert_eq!(visits, vec![3, 2]);
-//! ```
+//! Determinism caveat: a static partition fixes which worker folds which
+//! items, in which order. Bit-identical results additionally require that
+//! the executor merges per-list results in list order and that the work
+//! done per item is a pure function of the item.
 
 use std::num::NonZeroUsize;
 
@@ -189,8 +151,8 @@ pub fn default_procs() -> usize {
 /// index, the worker count, and (for keyed sharding) the caller-provided key
 /// slice — never of timing. Changing the strategy changes *which worker*
 /// processes an item, not the merge order, so any fold whose `fold`/`merge`
-/// pair is insensitive to the partition (see [`fold_indices_with_workers`])
-/// produces identical output under either strategy.
+/// pair is insensitive to the partition produces identical output under
+/// either strategy.
 #[derive(Debug, Clone, Copy)]
 pub enum Shard<'k> {
     /// Item `i` runs on worker `i % workers`. Balances load evenly across
@@ -269,25 +231,6 @@ fn spread_groups(group_of: Vec<usize>, groups: usize, workers: usize) -> Vec<usi
 }
 
 impl Shard<'_> {
-    /// The key slice of a keyed strategy (`None` for round-robin).
-    fn keys(&self) -> Option<&[u64]> {
-        match self {
-            Shard::RoundRobin => None,
-            Shard::ByKey(keys) => Some(keys),
-        }
-    }
-
-    /// Validates that a keyed strategy's key slice covers `len` items.
-    fn validate(&self, len: usize) {
-        if let Some(keys) = self.keys() {
-            assert!(
-                keys.len() >= len,
-                "shard keys ({}) shorter than the input ({len})",
-                keys.len()
-            );
-        }
-    }
-
     /// Computes the worker index for every item, as a pure function of
     /// `(len, workers)` and (for keyed sharding) the key slice — and of the
     /// key *multiset* only: permuting the items (and their keys) permutes
@@ -301,27 +244,27 @@ impl Shard<'_> {
     #[must_use]
     pub fn assignments(&self, len: usize, workers: usize) -> Vec<usize> {
         assert!(workers > 0, "shard requires at least one worker");
-        self.validate(len);
         match self {
             Shard::RoundRobin => (0..len).map(|i| i % workers).collect(),
             Shard::ByKey(keys) => {
+                assert!(
+                    keys.len() >= len,
+                    "shard keys ({}) shorter than the input ({len})",
+                    keys.len()
+                );
                 let (ranks, distinct) = dense_ranks(&keys[..len]);
                 spread_groups(ranks, distinct, workers)
             }
         }
     }
 
-    /// Materializes each worker's **ascending index list** for this shard —
-    /// exactly the per-worker visit order [`fold_indices_with_workers`]
-    /// executes, as one `Vec` per worker. The concatenation of the lists is
-    /// a permutation of `0..len`, and each list is strictly ascending.
+    /// Materializes each worker's **ascending index list** for this shard,
+    /// as one `Vec` per worker. The concatenation of the lists is a
+    /// permutation of `0..len`, and each list is strictly ascending.
     ///
-    /// This is the planning half of a resumable fold (see
-    /// [`IncrementalFold`]): an executor that wants to run a batch in
-    /// suspendable pieces cuts these lists into chunks (e.g. with
-    /// [`cost_quantile_chunks`]) and folds each chunk into the owning
-    /// slot's accumulator, in list order — reproducing the one-shot fold's
-    /// partition and visit order bit for bit.
+    /// This is the plan every executor runs: one fold per list, or each
+    /// list cut into leases (e.g. with [`cost_quantile_chunks`]) whose
+    /// results are merged in list order.
     ///
     /// # Panics
     ///
@@ -382,241 +325,6 @@ pub fn cost_quantile_chunks(
     plan
 }
 
-/// A **resumable** spelling of [`fold_indices_with_workers`]: the
-/// per-worker-slot accumulators live here instead of on worker stacks, so
-/// an executor can run a slot's index stream in pieces — checking a slot's
-/// accumulator out, folding a chunk into it, restoring it, and doing
-/// something else in between — and still finish with an accumulator
-/// bit-identical to the one-shot fold's.
-///
-/// The contract the one-shot core enforces by construction is enforced
-/// here by watermarks: each slot's chunks must arrive in ascending index
-/// order ([`IncrementalFold::checkout`] panics on a regression), at most
-/// one chunk per slot is in flight at a time (a second `checkout` while
-/// one is out panics), and [`IncrementalFold::finish`] merges the slot
-/// accumulators **in slot order** — the same merge order
-/// [`fold_indices_with_workers`] uses for its workers.
-///
-/// What this type deliberately does *not* do is schedule: which slot runs
-/// next, and on which OS thread, is the caller's policy. Any interleaving
-/// that respects the per-slot ordering yields the same final accumulator,
-/// which is what lets the sweep service multiplex many submissions over
-/// one worker pool without perturbing any submission's result.
-#[derive(Debug)]
-pub struct IncrementalFold<A> {
-    slots: Vec<FoldSlot<A>>,
-}
-
-#[derive(Debug)]
-struct FoldSlot<A> {
-    /// `None` while a chunk is checked out.
-    acc: Option<A>,
-    /// Lowest index the slot's next chunk may start at.
-    watermark: usize,
-}
-
-impl<A> IncrementalFold<A> {
-    /// One accumulator per worker slot, built by `make_acc` (fresh and
-    /// empty, per the fold contract).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slots` is zero.
-    pub fn new(slots: usize, mut make_acc: impl FnMut() -> A) -> Self {
-        assert!(slots > 0, "an incremental fold needs at least one slot");
-        Self {
-            slots: (0..slots)
-                .map(|_| FoldSlot {
-                    acc: Some(make_acc()),
-                    watermark: 0,
-                })
-                .collect(),
-        }
-    }
-
-    /// Number of worker slots.
-    #[must_use]
-    pub fn slots(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Checks slot `slot`'s accumulator out for a chunk starting at
-    /// `first_index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slot's accumulator is already checked out, or if
-    /// `first_index` is below the slot's watermark (the chunk would revisit
-    /// or reorder indices the slot already folded).
-    pub fn checkout(&mut self, slot: usize, first_index: usize) -> A {
-        let state = &mut self.slots[slot];
-        assert!(
-            first_index >= state.watermark,
-            "slot {slot} chunk starts at {first_index}, below watermark {}",
-            state.watermark
-        );
-        state
-            .acc
-            .take()
-            .unwrap_or_else(|| panic!("slot {slot} accumulator already checked out"))
-    }
-
-    /// Restores slot `slot`'s accumulator after folding a chunk whose
-    /// indices were all below `next_index` (typically `last + 1`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slot's accumulator is not checked out.
-    pub fn restore(&mut self, slot: usize, acc: A, next_index: usize) {
-        let state = &mut self.slots[slot];
-        assert!(
-            state.acc.is_none(),
-            "slot {slot} restored without a checkout"
-        );
-        state.acc = Some(acc);
-        state.watermark = state.watermark.max(next_index);
-    }
-
-    /// Whether every slot's accumulator is currently restored (no chunk in
-    /// flight).
-    #[must_use]
-    pub fn is_idle(&self) -> bool {
-        self.slots.iter().all(|s| s.acc.is_some())
-    }
-
-    /// Merges the slot accumulators in slot order — `merge(&mut acc₀,
-    /// acc₁)`, then `merge(&mut acc₀, acc₂)`, … — exactly the worker-order
-    /// merge of the one-shot fold.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any slot's accumulator is still checked out.
-    pub fn finish(self, mut merge: impl FnMut(&mut A, A)) -> A {
-        let mut accs = self.slots.into_iter().enumerate().map(|(slot, s)| {
-            s.acc
-                .unwrap_or_else(|| panic!("slot {slot} still checked out at finish"))
-        });
-        let mut merged = accs.next().expect("at least one slot");
-        for acc in accs {
-            merge(&mut merged, acc);
-        }
-        merged
-    }
-}
-
-/// The fold-capable core of the pool: runs `fold(ctx, acc, i)` for every
-/// `i ∈ 0..len`, with item `i` assigned to a worker by `shard` and each
-/// worker folding its indices in **ascending order** into its own
-/// accumulator (built by `make_acc`). The per-worker accumulators are then
-/// merged **deterministically in worker order** — `merge(&mut acc₀, acc₁)`,
-/// then `merge(&mut acc₀, acc₂)`, … — and the combined accumulator is
-/// returned.
-///
-/// This is what lets arbitrarily large batches aggregate on the fly: the
-/// pool keeps only `contexts.len()` accumulators alive, so result memory is
-/// O(workers) no matter how large `len` grows. And because workers receive
-/// bare indices, `fold` is free to produce the item for index `i` however
-/// it likes — typically by advancing a lazy per-worker generator kept
-/// inside the worker context `C`, which the ascending-order guarantee makes
-/// a single forward pass.
-///
-/// ## Determinism
-///
-/// The schedule (which worker folds which indices, in which order) and the
-/// merge order are pure functions of `(len, contexts.len(), shard)`. For
-/// the *final accumulator* to be identical at every worker count, the
-/// caller's `fold`/`merge` pair must additionally be insensitive to how the
-/// index stream is partitioned — e.g. because the accumulator keeps
-/// per-index slots, or because the folded operation is associative and
-/// commutative in exact arithmetic. Plain floating-point accumulation is
-/// *not* (addition order changes the bits); fold per-index values and
-/// reduce them in a fixed order instead.
-///
-/// # Panics
-///
-/// Panics if `contexts` is empty, if a keyed [`Shard`]'s key slice is
-/// shorter than `len`, or propagates a panic from `fold`.
-pub fn fold_indices_with_workers<C, A, FInit, F, M>(
-    contexts: &mut [C],
-    len: usize,
-    shard: Shard<'_>,
-    make_acc: FInit,
-    fold: F,
-    mut merge: M,
-) -> A
-where
-    C: Send,
-    A: Send,
-    FInit: Fn() -> A + Sync,
-    F: Fn(&mut C, &mut A, usize) + Sync,
-    M: FnMut(&mut A, A),
-{
-    assert!(!contexts.is_empty(), "exec requires at least one worker");
-    if contexts.len() == 1 || len <= 1 {
-        // Validate the keys on the inline path (without computing the full
-        // assignment) so misuse surfaces identically at every worker count.
-        shard.validate(len);
-        let ctx = &mut contexts[0];
-        let mut acc = make_acc();
-        for i in 0..len {
-            fold(ctx, &mut acc, i);
-        }
-        return acc;
-    }
-    let threads = contexts.len();
-    // Round-robin needs no materialized schedule — worker `w` walks the
-    // stepped range `w, w + threads, …` — so a round-robin fold's memory
-    // really is O(workers). For keyed sharding one O(len) pass builds
-    // each worker's index list; workers then walk their own (ascending)
-    // list instead of rescanning the whole range.
-    let mut shards: Vec<Option<Vec<usize>>> = if shard.keys().is_none() {
-        vec![None; threads]
-    } else {
-        shard
-            .worker_lists(len, threads)
-            .into_iter()
-            .map(Some)
-            .collect()
-    };
-    let accs = std::thread::scope(|scope| {
-        let fold = &fold;
-        let make_acc = &make_acc;
-        let handles: Vec<_> = contexts
-            .iter_mut()
-            .zip(shards.drain(..))
-            .enumerate()
-            .map(|(w, (ctx, indices))| {
-                scope.spawn(move || {
-                    let mut acc = make_acc();
-                    match indices {
-                        None => {
-                            for i in (w..len).step_by(threads) {
-                                fold(ctx, &mut acc, i);
-                            }
-                        }
-                        Some(indices) => {
-                            for i in indices {
-                                fold(ctx, &mut acc, i);
-                            }
-                        }
-                    }
-                    acc
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("exec worker panicked"))
-            .collect::<Vec<_>>()
-    });
-    let mut accs = accs.into_iter();
-    let mut merged = accs.next().expect("at least one worker");
-    for acc in accs {
-        merge(&mut merged, acc);
-    }
-    merged
-}
-
 /// The worker count actually used for an input: at least 1, never more than
 /// the number of items.
 #[must_use]
@@ -633,28 +341,18 @@ mod tests {
         // 24 items over 2 "platforms" (keys 10 and 11), laid out in two
         // contiguous halves — the layout where round-robin spreads every
         // platform across every worker.
-        let items: Vec<usize> = (0..24).collect();
         let keys: Vec<u64> = (0..24).map(|i| if i < 12 { 10 } else { 11 }).collect();
-        let expected: Vec<usize> = items.iter().map(|x| x + 100).collect();
 
         for workers in [1, 2, 3, 8] {
-            let mut seen: Vec<Vec<u64>> = vec![Vec::new(); workers];
-            let got = fold_indices_with_workers(
-                &mut seen,
-                items.len(),
-                Shard::ByKey(&keys),
-                || vec![0usize; items.len()],
-                |b, slots: &mut Vec<usize>, i| {
-                    b.push(keys[i]);
-                    slots[i] = items[i] + 100;
-                },
-                |into, from| into.iter_mut().zip(from).for_each(|(a, b)| *a += b),
-            );
-            assert_eq!(got, expected, "workers={workers}");
+            let lists = Shard::ByKey(&keys).worker_lists(keys.len(), workers);
+            let mut all: Vec<usize> = lists.concat();
+            all.sort_unstable();
+            assert_eq!(all, (0..24).collect::<Vec<_>>(), "workers={workers}");
             let owners = |key: u64| -> Vec<usize> {
-                seen.iter()
+                lists
+                    .iter()
                     .enumerate()
-                    .filter(|(_, bucket)| bucket.contains(&key))
+                    .filter(|(_, list)| list.iter().any(|&i| keys[i] == key))
                     .map(|(w, _)| w)
                     .collect()
             };
@@ -700,29 +398,6 @@ mod tests {
     }
 
     #[test]
-    fn index_driven_mapping_visits_each_worker_shard_in_ascending_order() {
-        let keys: Vec<u64> = (0..20).map(|i| [3, 1, 2][i % 3]).collect();
-        for shard in [Shard::RoundRobin, Shard::ByKey(&keys)] {
-            let mut orders: Vec<Vec<usize>> = vec![Vec::new(); 3];
-            let visited = fold_indices_with_workers(
-                &mut orders,
-                20,
-                shard,
-                || 0usize,
-                |bucket, acc, i| {
-                    bucket.push(i);
-                    *acc += 1;
-                },
-                |into, from| *into += from,
-            );
-            assert_eq!(visited, 20, "{shard:?}");
-            for bucket in &orders {
-                assert!(bucket.windows(2).all(|w| w[0] < w[1]), "{bucket:?}");
-            }
-        }
-    }
-
-    #[test]
     fn shard_assignments_are_a_pure_function_of_keys_and_workers() {
         let keys = [7u64, 8, 9, 7];
         assert_eq!(Shard::RoundRobin.assignments(5, 3), vec![0, 1, 2, 0, 1]);
@@ -744,15 +419,7 @@ mod tests {
     #[should_panic(expected = "shard keys")]
     fn short_key_slices_are_rejected() {
         let keys = [1u64];
-        let mut ctx = [(), ()];
-        fold_indices_with_workers(
-            &mut ctx,
-            5,
-            Shard::ByKey(&keys),
-            || (),
-            |_, _, _| {},
-            |_, _| {},
-        );
+        let _ = Shard::ByKey(&keys).worker_lists(5, 2);
     }
 
     /// The set of workers each distinct key's items land on.
@@ -812,69 +479,6 @@ mod tests {
             let (min, max) = (loads.iter().min().unwrap(), loads.iter().max().unwrap());
             assert!(max - min <= 1, "unbalanced: {loads:?}");
         }
-    }
-
-    #[test]
-    fn fold_merges_worker_accumulators_in_worker_order() {
-        // Accumulate the visited indices: the merged list must be the
-        // concatenation of the worker shards, each ascending, in worker
-        // order — the documented merge contract.
-        let mut ctxs = vec![(); 3];
-        let folded = fold_indices_with_workers(
-            &mut ctxs,
-            10,
-            Shard::RoundRobin,
-            Vec::new,
-            |_, acc: &mut Vec<usize>, i| acc.push(i),
-            |into, from| into.extend(from),
-        );
-        assert_eq!(folded, vec![0, 3, 6, 9, 1, 4, 7, 2, 5, 8]);
-    }
-
-    #[test]
-    fn fold_with_per_index_slots_is_worker_count_invariant() {
-        // A fold whose accumulator keeps per-index slots (the pattern the
-        // scenario-layer consumers use) produces bit-identical output at
-        // every worker count, under every strategy.
-        let len = 37usize;
-        let keys: Vec<u64> = (0..len).map(|i| (i as u64) % 5).collect();
-        let expected: Vec<u64> = (0..len as u64).map(|i| i * i).collect();
-        for workers in [1, 2, 3, 8] {
-            for shard in [Shard::RoundRobin, Shard::ByKey(&keys)] {
-                let mut ctxs = vec![(); workers];
-                let folded = fold_indices_with_workers(
-                    &mut ctxs,
-                    len,
-                    shard,
-                    || vec![0u64; len],
-                    |_, slots: &mut Vec<u64>, i| slots[i] = (i as u64) * (i as u64),
-                    |into, from| {
-                        for (slot, value) in into.iter_mut().zip(from) {
-                            *slot += value;
-                        }
-                    },
-                );
-                assert_eq!(folded, expected, "workers={workers} {shard:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn fold_runs_inline_with_one_worker() {
-        let mut ctxs = vec![0u64];
-        let sum = fold_indices_with_workers(
-            &mut ctxs,
-            5,
-            Shard::RoundRobin,
-            || 0u64,
-            |ctx, acc, i| {
-                *ctx += 1;
-                *acc += i as u64;
-            },
-            |_, _| panic!("no merge with one worker"),
-        );
-        assert_eq!(sum, 10);
-        assert_eq!(ctxs[0], 5, "inline path visits every index");
     }
 
     #[test]
@@ -989,66 +593,5 @@ mod tests {
         assert!(cost_quantile_chunks(&[], |_| 1, 4).is_empty());
         // Zero costs count as one: no division-shaped surprises.
         assert_eq!(cost_quantile_chunks(&items, |_| 0, 5).len(), 5);
-    }
-
-    #[test]
-    fn incremental_fold_matches_the_one_shot_fold() {
-        // Reference: one-shot fold summing (index+1)^2 per worker slot,
-        // merged in worker order into a Vec of partial sums.
-        let keys: Vec<u64> = (0..30).map(|i| (i as u64) % 4).collect();
-        let shard = Shard::ByKey(&keys);
-        let workers = 3;
-        let mut contexts = vec![(); workers];
-        let reference = fold_indices_with_workers(
-            &mut contexts,
-            30,
-            Shard::ByKey(&keys),
-            Vec::new,
-            |(), acc: &mut Vec<u64>, i| acc.push(((i as u64) + 1) * ((i as u64) + 1)),
-            |into, from| into.extend(from),
-        );
-
-        // Resumable: cut each slot's list into cost-quantile chunks and
-        // fold them in an adversarial interleaving (round-robin across
-        // slots), checking accumulators in and out at every boundary.
-        let lists = shard.worker_lists(30, workers);
-        let mut fold: IncrementalFold<Vec<u64>> = IncrementalFold::new(workers, Vec::new);
-        let mut chunks: Vec<std::collections::VecDeque<Vec<usize>>> = lists
-            .iter()
-            .map(|list| cost_quantile_chunks(list, |_| 1, 4).into())
-            .collect();
-        while chunks.iter().any(|c| !c.is_empty()) {
-            for (slot, queue) in chunks.iter_mut().enumerate() {
-                let Some(chunk) = queue.pop_front() else {
-                    continue;
-                };
-                let mut acc = fold.checkout(slot, chunk[0]);
-                for i in &chunk {
-                    acc.push(((*i as u64) + 1) * ((*i as u64) + 1));
-                }
-                let next = chunk.last().unwrap() + 1;
-                fold.restore(slot, acc, next);
-            }
-        }
-        assert!(fold.is_idle());
-        let merged = fold.finish(|into, from| into.extend(from));
-        assert_eq!(merged, reference, "interleaved fold must be bit-identical");
-    }
-
-    #[test]
-    #[should_panic(expected = "below watermark")]
-    fn incremental_fold_rejects_out_of_order_chunks() {
-        let mut fold: IncrementalFold<Vec<u64>> = IncrementalFold::new(2, Vec::new);
-        let acc = fold.checkout(0, 5);
-        fold.restore(0, acc, 10);
-        let _ = fold.checkout(0, 4); // regresses below the watermark
-    }
-
-    #[test]
-    #[should_panic(expected = "already checked out")]
-    fn incremental_fold_rejects_concurrent_slot_checkout() {
-        let mut fold: IncrementalFold<Vec<u64>> = IncrementalFold::new(1, Vec::new);
-        let _acc = fold.checkout(0, 0);
-        let _ = fold.checkout(0, 0);
     }
 }

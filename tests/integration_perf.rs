@@ -3,8 +3,9 @@
 //! registry governor's `decide` is allocation-free per evaluation interval
 //! across a full run, streaming a generator-backed workload population
 //! holds live workload memory independent of the population size, and the
-//! fold-based result pipeline holds peak result memory O(workers) — flat in
-//! the cell count — where the materializing path grows O(cells).
+//! fold-based result pipeline holds peak memory to the per-slot
+//! accumulators plus the sweep's index plan (a few machine words per cell)
+//! where the materializing path holds every record.
 //!
 //! Allocation counts are per thread, so no other thread can land in a
 //! counting window. Live and peak bytes are process-global (the fold tests
@@ -14,11 +15,12 @@
 use std::sync::Mutex;
 
 use sysscale::{
-    calibration_source, measure_population_from, CalibrationConfig, FixedGovernor,
-    GovernorRegistry, SessionPool, SocConfig, SocSimulator, SweepSet,
+    calibration_source, measure_population_from, CalibrationConfig, CellId, FixedGovernor,
+    GovernorRegistry, RunConsumer, RunRecord, Scenario, ScenarioSource, SessionPool, SocConfig,
+    SocSimulator, SweepSet,
 };
 use sysscale_alloctrack::{allocations_during, peak_growth_during, TrackingAllocator};
-use sysscale_types::{exec, SimTime};
+use sysscale_types::SimTime;
 use sysscale_workloads::{spec_workload, PopulationSource, WorkloadSource};
 
 #[global_allocator]
@@ -171,69 +173,96 @@ fn streaming_a_population_holds_workload_memory_independent_of_size() {
     );
 }
 
+/// One cheap scenario repeated `cells` times on one platform: a sweep whose
+/// cost is the executor, not the simulation.
+struct Repeated {
+    scenario: Scenario,
+    cells: usize,
+}
+
+impl ScenarioSource for Repeated {
+    fn len(&self) -> usize {
+        self.cells
+    }
+
+    fn stream(&self) -> Box<dyn Iterator<Item = Scenario> + Send + '_> {
+        Box::new(std::iter::repeat(self.scenario.clone()).take(self.cells))
+    }
+
+    fn shard_keys(&self) -> Vec<u64> {
+        vec![0; self.cells]
+    }
+}
+
+/// Counts the cells it folds and drops every record.
+struct CountCells;
+
+impl RunConsumer for CountCells {
+    type Acc = u64;
+
+    fn accumulator(&self) -> u64 {
+        0
+    }
+
+    fn fold(&self, acc: &mut u64, _: CellId, _: RunRecord) {
+        *acc += 1;
+    }
+
+    fn merge(&self, into: &mut u64, from: u64) {
+        *into += from;
+    }
+}
+
 #[test]
-fn folding_a_100k_cell_batch_holds_result_memory_independent_of_cell_count() {
+fn folding_a_sweep_holds_result_memory_independent_of_cell_count() {
     let _guard = COUNTER_LOCK.lock().unwrap();
 
-    // The exec-level contract of the fold core: every cell produces a
-    // heap-allocated "record" (a 256 B payload standing in for a
-    // RunRecord); the fold digests and drops it, so peak result memory is
-    // the per-worker accumulators — independent of how many cells stream
-    // through — while the mapping path materializes every record.
-    let workers = 8usize;
-    let fold_peak = |cells: usize| -> u64 {
-        let mut ctxs = vec![(); workers];
-        let (peak, (count, digest)) = peak_growth_during(|| {
-            exec::fold_indices_with_workers(
-                &mut ctxs,
-                cells,
-                exec::Shard::RoundRobin,
-                || (0u64, 0u64),
-                |(), acc: &mut (u64, u64), i| {
-                    let record = vec![(i % 251) as u8; 256];
-                    acc.0 += 1;
-                    acc.1 = acc
-                        .1
-                        .wrapping_add(record.iter().map(|&b| u64::from(b)).sum::<u64>());
-                },
-                |into, from| {
-                    into.0 += from.0;
-                    into.1 = into.1.wrapping_add(from.1);
-                },
-            )
+    // The sweep-level contract of the fold core: each record is folded
+    // and dropped, so peak result memory is the per-slot accumulators plus
+    // the index plan (a few machine words per cell), while the
+    // materializing path holds every record.
+    let scenario = Scenario::builder(spec_workload("mcf").unwrap())
+        .governor("baseline")
+        .duration(SimTime::from_millis(1.0))
+        .build()
+        .unwrap();
+    let repeated = |cells| Repeated {
+        scenario: scenario.clone(),
+        cells,
+    };
+    let workers = 4usize;
+    let mut pool = SessionPool::new();
+    let mut fold_peak = |cells: usize| -> u64 {
+        let source = repeated(cells);
+        let mut sweep = SweepSet::new();
+        sweep.push_source(&source, None);
+        let (peak, count) = peak_growth_during(|| {
+            sweep
+                .run_parallel_fold(&mut pool, workers, &CountCells)
+                .unwrap()
         });
         assert_eq!(count, cells as u64);
-        assert!(digest > 0);
         peak
     };
 
-    // Warm-up pass absorbs one-time lazy state.
-    let _ = fold_peak(1_000);
-    let small_peak = fold_peak(10_000);
-    let large_peak = fold_peak(100_000);
-
-    // 10x the cells must not grow the fold's peak: a generous absolute
-    // slack (64 KiB) absorbs allocator bookkeeping noise.
+    // Warm-up pass builds the pool's simulators.
+    let _ = fold_peak(400);
+    let small_peak = fold_peak(400);
+    let large_peak = fold_peak(4_000);
     assert!(
-        large_peak <= small_peak + 64 * 1024,
-        "fold peak grew with cell count: {small_peak} B for 10k cells, \
-         {large_peak} B for 100k"
+        large_peak <= small_peak + 64 * 3_600,
+        "fold peak grew by more than 64 B per added cell: {small_peak} B for 400 cells, \
+         {large_peak} B for 4000"
     );
 
-    // Reference scale: materializing the same 100k records holds them all.
-    let mut ctxs = vec![(); workers];
-    let (materialized_peak, records) = peak_growth_during(|| {
-        exec::fold_indices_with_workers(
-            &mut ctxs,
-            100_000,
-            exec::Shard::RoundRobin,
-            Vec::new,
-            |(), records: &mut Vec<Vec<u8>>, i| records.push(vec![(i % 251) as u8; 256]),
-            |into, from| into.extend(from),
-        )
-    });
-    assert_eq!(records.len(), 100_000);
-    drop(records);
+    // Reference scale: materializing the same 4000 cells holds them all.
+    let source = repeated(4_000);
+    let mut sweep = SweepSet::new();
+    sweep.push_source(&source, None);
+    let (materialized_peak, runs) =
+        peak_growth_during(|| sweep.run_parallel(&mut pool, workers).unwrap());
+    assert_eq!(runs[0].records().len(), 4_000);
+    drop(runs);
     assert!(
         materialized_peak > 20 * large_peak.max(1),
         "materializing should dwarf the fold: {materialized_peak} B vs {large_peak} B"
