@@ -42,7 +42,9 @@ use std::io::{BufReader, Read, Write};
 use std::net::TcpListener;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Sender};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sysscale::types::exec;
@@ -51,7 +53,7 @@ use sysscale_types::{SimError, SimResult};
 
 use crate::fault::{FaultPlan, FaultReader};
 use crate::journal::{JournalHeader, SweepJournal};
-use crate::net;
+use crate::net::CountRetries;
 use crate::proto::{LeaseIndices, Message, PipeTransport, TcpTransport, WorkerTransport};
 use crate::recipe::{sweep_from_sets, SweepRecipe};
 use crate::wire::WireError;
@@ -148,9 +150,8 @@ pub struct DistOptions {
     /// there and a compatible existing journal is resumed (see
     /// [`crate::journal`]). Deleted automatically when the sweep succeeds.
     pub journal: Option<PathBuf>,
-    /// Deterministic wire-fault plan seed; `None` falls back to
-    /// [`crate::fault::FAULT_PLAN_ENV`], and `Some(0)` forces injection
-    /// off regardless of the environment.
+    /// Deterministic wire-fault plan seed ([`FaultPlan::new`]); `None` and
+    /// `Some(0)` both mean no injection.
     pub fault_plan: Option<u64>,
     /// Test hook: abort the run (workers killed, journal left behind)
     /// after this many leases have retired — a deterministic stand-in for
@@ -206,11 +207,11 @@ pub struct DistStats {
     /// Frames dropped as duplicates or stale (dedup absorption; protocol
     /// *violations* still fail the run).
     pub frames_rejected: u64,
-    /// Transient I/O retries absorbed during the run (`Interrupted`,
-    /// bounded `WouldBlock`, TCP connect backoff), counted by this run's
-    /// [`crate::net::RetryScope`] — per-run accounting, so concurrent
-    /// dispatches in one process never attribute each other's retries
-    /// ([`crate::net::transient_retries`] remains the process total).
+    /// Transient I/O errors (`Interrupted`, `WouldBlock`) the worker
+    /// transports returned during the run and the wire layer retried,
+    /// counted by one counter per run around both halves of every worker
+    /// transport — so concurrent dispatches in one process never
+    /// attribute each other's retries.
     pub retries: u64,
 }
 
@@ -378,7 +379,7 @@ fn spawn_worker(
     quarantine: bool,
     fault_plan: Option<FaultPlan>,
     events: &Sender<Event>,
-    retry_scope: &net::RetryScope,
+    retries: &Arc<AtomicU64>,
 ) -> SimResult<WorkerSlot> {
     let mut command = Command::new(binary);
     command.stderr(Stdio::inherit());
@@ -421,7 +422,7 @@ fn spawn_worker(
                 quarantine,
                 fault_plan,
                 events,
-                retry_scope,
+                retries,
             )
         }
         TransportKind::Tcp => {
@@ -474,7 +475,7 @@ fn spawn_worker(
                 quarantine,
                 fault_plan,
                 events,
-                retry_scope,
+                retries,
             )
         }
     }
@@ -491,9 +492,9 @@ fn finish_spawn(
     quarantine: bool,
     fault_plan: Option<FaultPlan>,
     events: &Sender<Event>,
-    retry_scope: &net::RetryScope,
+    retries: &Arc<AtomicU64>,
 ) -> SimResult<WorkerSlot> {
-    let (read_half, mut tx) = transport.split();
+    let (read_half, tx) = transport.split();
     // The fault injector sits between the transport and the frame parser,
     // sabotaging this connection's byte stream if the plan says so (only
     // ever on generation 0 — respawn streams run clean).
@@ -502,15 +503,12 @@ fn finish_spawn(
             Some(wire_fault) => Box::new(FaultReader::new(read_half, wire_fault)),
             None => read_half,
         };
+    // Both halves count this run's transient I/O errors into the run's
+    // own counter, whichever thread reads or writes them.
+    let read_half = CountRetries::new(read_half, Arc::clone(retries));
+    let mut tx: Box<dyn Write + Send> = Box::new(CountRetries::new(tx, Arc::clone(retries)));
     let events = events.clone();
-    // The reader thread performs this run's wire reads, so it must carry
-    // the run's retry scope: transient conditions it absorbs count toward
-    // this dispatch, not whichever run happens to snapshot the global.
-    let retry_scope = retry_scope.clone();
-    std::thread::spawn(move || {
-        let _scope = retry_scope.enter();
-        read_loop(read_half, slot, generation, &events);
-    });
+    std::thread::spawn(move || read_loop(read_half, slot, generation, &events));
     // A send failure here means the worker already died; the reader's
     // Closed event drives the respawn, so don't fail the run for it.
     let _ = Message::Job {
@@ -528,12 +526,7 @@ fn finish_spawn(
     })
 }
 
-fn read_loop(
-    read_half: Box<dyn Read + Send>,
-    slot: usize,
-    generation: u64,
-    events: &Sender<Event>,
-) {
+fn read_loop(read_half: impl Read, slot: usize, generation: u64, events: &Sender<Event>) {
     let mut rx = BufReader::new(read_half);
     loop {
         match Message::read_from(&mut rx) {
@@ -683,22 +676,6 @@ pub fn run_distributed_partial(
     Ok((run_sets, failed, stats))
 }
 
-/// [`run_distributed_fold`] in explicit partial-result mode: quarantined
-/// cells are skipped by the fold (never passed to [`RunConsumer::fold`])
-/// and reported in the [`FailedCells`] manifest instead.
-///
-/// # Errors
-///
-/// See [`run_distributed_partial`].
-pub fn run_distributed_fold_partial<Q: RunConsumer>(
-    recipe: &SweepRecipe,
-    options: &DistOptions,
-    consumer: &Q,
-) -> SimResult<(Q::Acc, FailedCells, DistStats)> {
-    let sets = recipe.build()?;
-    dispatch(recipe, &sets, options, consumer, true)
-}
-
 /// Converts a journal I/O failure into the executor's error type.
 fn journal_error(error: WireError) -> SimError {
     dist_error(format!("checkpoint journal: {error}"))
@@ -724,19 +701,13 @@ fn dispatch<Q: RunConsumer>(
     }
 
     let mut stats = DistStats::default();
-    // Per-run retry accounting: one scope for this dispatch, installed on
-    // this thread and every reader thread it spawns. The process-global
-    // total (net::transient_retries) keeps ticking for all runs combined.
-    let retry_scope = net::RetryScope::new();
-    let _retry_guard = retry_scope.enter();
     if total == 0 {
         return Ok((consumer.accumulator(), FailedCells::default(), stats));
     }
-    let fault_plan = match options.fault_plan {
-        Some(0) => None,
-        Some(seed) => FaultPlan::new(seed),
-        None => FaultPlan::from_env(),
-    };
+    let fault_plan = options.fault_plan.and_then(FaultPlan::new);
+    // Per-run retry accounting: every worker transport of this dispatch
+    // counts into this one counter.
+    let retries = Arc::new(AtomicU64::new(0));
 
     // The same cell→worker partition the in-process fold core computes
     // (one slot per process, clamped to the cell count), each slot's list
@@ -857,7 +828,7 @@ fn dispatch<Q: RunConsumer>(
             quarantine,
             fault_plan,
             &events_tx,
-            &retry_scope,
+            &retries,
         );
         let mut worker = match worker {
             Ok(worker) => worker,
@@ -1249,7 +1220,7 @@ fn dispatch<Q: RunConsumer>(
                     quarantine,
                     fault_plan,
                     &events_tx,
-                    &retry_scope,
+                    &retries,
                 ) {
                     Ok(mut replacement) => {
                         stats.workers_spawned += 1;
@@ -1297,7 +1268,7 @@ fn dispatch<Q: RunConsumer>(
         let _ = journal.finish();
     }
     stats.quarantined_cells = manifest.len();
-    stats.retries = retry_scope.count();
+    stats.retries = retries.load(Ordering::Relaxed);
 
     // The deterministic merge: leases in plan order within a slot, slots in
     // slot order — the exact partition the in-process fold core merges by.

@@ -1,6 +1,6 @@
 //! Deterministic wire-fault injection for the dispatcher's read paths.
 //!
-//! A [`FaultPlan`] (seeded explicitly or via [`FAULT_PLAN_ENV`]) decides,
+//! A [`FaultPlan`] (seeded by [`crate::DistOptions::fault_plan`]) decides,
 //! per worker connection, whether and where to sabotage the byte stream
 //! the dispatcher reads from that worker: a chosen frame ordinal gets one
 //! of the mutations in [`FaultKind`] — a bit-flipped payload, a corrupted
@@ -29,11 +29,6 @@ use sysscale_types::rng::SplitMix64;
 
 use crate::proto::FT_RESULT;
 use crate::wire::{FRAME_HEADER_LEN, MAX_FRAME_LEN};
-
-/// Environment variable carrying the fault-plan seed (a `u64`; `0` or
-/// unset disables injection). [`crate::DistOptions::fault_plan`] overrides
-/// it.
-pub const FAULT_PLAN_ENV: &str = "SYSSCALE_DIST_FAULT_PLAN";
 
 /// Frame ordinals a connection's single fault is drawn from: large enough
 /// to land mid-lease on real sweeps, small enough that short test sweeps
@@ -89,15 +84,6 @@ impl FaultPlan {
     #[must_use]
     pub fn new(seed: u64) -> Option<Self> {
         (seed != 0).then_some(Self { seed })
-    }
-
-    /// Reads [`FAULT_PLAN_ENV`]; unset, unparsable, or `0` means no plan.
-    #[must_use]
-    pub fn from_env() -> Option<Self> {
-        std::env::var(FAULT_PLAN_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .and_then(Self::new)
     }
 
     /// The fault (if any) for one worker connection. Only generation-0

@@ -39,18 +39,17 @@
 //!   ([`DistOptions::journal`]) — a killed dispatcher restarted with the
 //!   same recipe replays finished leases from disk and re-executes only the
 //!   remainder, byte-identical to an uninterrupted run.
-//! - **quarantine** ([`run_distributed_partial`] /
-//!   [`run_distributed_fold_partial`]): explicit partial-result mode, where
-//!   a poisoned cell (clean failure, or a cell that kills its worker
-//!   [`dispatcher::MAX_LEASE_EXECUTIONS`] times and is isolated by lease
-//!   bisection) lands in a [`FailedCells`] manifest and the sweep completes
-//!   around it.
+//! - **quarantine** ([`run_distributed_partial`]): explicit partial-result
+//!   mode, where a poisoned cell (clean failure, or a cell that kills its
+//!   worker [`dispatcher::MAX_LEASE_EXECUTIONS`] times and is isolated by
+//!   lease bisection) lands in a [`FailedCells`] manifest and the sweep
+//!   completes around it.
 //! - [`fault`]: a seeded wire-fault injector
-//!   ([`fault::FAULT_PLAN_ENV`]) that corrupts, truncates, duplicates, or
+//!   ([`DistOptions::fault_plan`]) that corrupts, truncates, duplicates, or
 //!   delays chosen frames so CI can prove every corruption mode ends in a
 //!   clean CRC rejection + replay or idempotent absorption — never a hang,
 //!   panic, or silently wrong result. [`net`] adds bounded deterministic
-//!   connect backoff and transient-I/O retries under it all.
+//!   connect backoff and per-run transient-I/O retry counting under it all.
 //!
 //! ```no_run
 //! use sysscale_dist::{run_distributed, DistOptions, SweepRecipe};
@@ -64,7 +63,6 @@
 
 pub mod codec;
 pub mod dispatcher;
-pub mod duplex;
 pub mod fault;
 pub mod journal;
 pub mod net;
@@ -75,21 +73,20 @@ pub mod wire;
 pub mod worker;
 
 pub use dispatcher::{
-    run_distributed, run_distributed_fold, run_distributed_fold_partial, run_distributed_partial,
-    DistOptions, DistStats, FailedCell, FailedCells, PoisonFault, TransportKind, WorkerFault,
-    MAX_LEASE_EXECUTIONS, WORKER_ENV,
+    run_distributed, run_distributed_fold, run_distributed_partial, DistOptions, DistStats,
+    FailedCell, FailedCells, PoisonFault, TransportKind, WorkerFault, MAX_LEASE_EXECUTIONS,
+    WORKER_ENV,
 };
-pub use duplex::{byte_pipe, duplex, DuplexEnd, PipeReader, PipeWriter};
-pub use fault::{FaultKind, FaultPlan, FaultReader, WireFault, FAULT_PLAN_ENV};
+pub use fault::{FaultKind, FaultPlan, FaultReader, WireFault};
 pub use journal::{JournalHeader, JournalReplay, ReplayedLease, ReplayedQuarantine, SweepJournal};
-pub use net::{connect_with_backoff, transient_retries, RetryScope, RetryScopeGuard};
+pub use net::connect_with_backoff;
 pub use proto::{LeaseIndices, Message, PipeTransport, TcpTransport, WorkerTransport};
 pub use recipe::{
     sweep_from_sets, GovernorSpec, MatrixRecipe, PlatformSpec, SweepRecipe, WorkloadsSpec,
 };
 pub use serve::{
-    BusyShed, RequestSample, ServeClient, ServeError, ServeEvent, ServeOptions, ServeStats,
-    StressMetrics, SweepOutcome, SweepService,
+    BusyShed, ServeClient, ServeError, ServeEvent, ServeOptions, ServeStats, SweepOutcome,
+    SweepService,
 };
 pub use wire::{Dec, Enc, WireError};
 pub use worker::{worker_main, FAULT_ENV, HANG_ENV, POISON_CRASH_ENV, POISON_FLAT_ENV};

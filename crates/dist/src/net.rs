@@ -2,14 +2,13 @@
 //!
 //! Two concerns live here, both satellites of the fault-tolerance layer:
 //!
-//! * **retry accounting**: every transient I/O condition the wire layer
-//!   absorbs (`Interrupted`, bounded `WouldBlock`, TCP connect retries)
-//!   bumps a process-global total *and* the [`RetryScope`] installed on the
-//!   current thread, if any. A dispatcher installs one scope per run — on
-//!   its own thread and on every reader thread it spawns — so
-//!   [`crate::DistStats::retries`] is a genuinely per-run figure even when
-//!   several dispatchers share one process, while [`transient_retries`]
-//!   stays the process-lifetime total;
+//! * **retry accounting**: `CountRetries` wraps a transport half and
+//!   counts every transient error (`Interrupted`, `WouldBlock`) its inner
+//!   stream returns into a counter the caller owns. The wire layer's frame
+//!   helpers absorb those errors; the dispatcher wraps both halves of every
+//!   worker transport with one counter per run, so
+//!   [`crate::DistStats::retries`] is a per-run figure even when several
+//!   dispatchers share one process;
 //! * a **bounded, deterministically-jittered TCP connect backoff**
 //!   ([`connect_with_backoff`]): workers dialing the dispatcher back retry
 //!   a refused or not-yet-listening address with exponential delays whose
@@ -19,7 +18,7 @@
 //!   unparseable address, an unroutable one) fails on the first attempt
 //!   instead of burning the whole backoff budget.
 
-use std::cell::RefCell;
+use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -39,83 +38,47 @@ const CONNECT_BASE_DELAY_MS: u64 = 2;
 /// Ceiling on a single backoff delay.
 const CONNECT_DELAY_CAP_MS: u64 = 100;
 
-/// Transient retries absorbed since process start (monotone; see
-/// [`transient_retries`]).
-static TRANSIENT_RETRIES: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    /// The per-run retry counter installed on this thread, if any.
-    static ACTIVE_SCOPE: RefCell<Option<Arc<AtomicU64>>> = const { RefCell::new(None) };
+/// A `Read + Write` wrapper that adds one to `retries` for every
+/// `Interrupted` or `WouldBlock` error its inner stream returns. The error
+/// still reaches the caller unchanged — the wire layer's retrying helpers
+/// absorb it — so wrapping a stream changes only the accounting.
+pub(crate) struct CountRetries<T> {
+    inner: T,
+    retries: Arc<AtomicU64>,
 }
 
-/// A per-run transient-retry counter.
-///
-/// The process-global [`transient_retries`] total cannot attribute retries
-/// to a run: two dispatchers in one process snapshotting before/after would
-/// see each other's retries. A `RetryScope` is the per-run fix — the
-/// dispatcher creates one per dispatch, installs it (via [`RetryScope::enter`])
-/// on every thread that performs wire I/O for that run, and reads
-/// [`RetryScope::count`] at the end. Retries noted on a thread with no
-/// installed scope still count toward the process total only.
-#[derive(Debug, Clone, Default)]
-pub struct RetryScope {
-    count: Arc<AtomicU64>,
-}
-
-impl RetryScope {
-    /// A fresh scope with a zero count.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
+impl<T> CountRetries<T> {
+    pub(crate) fn new(inner: T, retries: Arc<AtomicU64>) -> Self {
+        Self { inner, retries }
     }
 
-    /// Retries attributed to this scope so far.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Installs this scope on the current thread until the returned guard
-    /// drops (restoring whatever scope was active before — scopes nest).
-    #[must_use]
-    pub fn enter(&self) -> RetryScopeGuard {
-        let previous =
-            ACTIVE_SCOPE.with(|active| active.borrow_mut().replace(Arc::clone(&self.count)));
-        RetryScopeGuard { previous }
-    }
-}
-
-/// Restores the previously-installed [`RetryScope`] (if any) on drop.
-#[derive(Debug)]
-pub struct RetryScopeGuard {
-    previous: Option<Arc<AtomicU64>>,
-}
-
-impl Drop for RetryScopeGuard {
-    fn drop(&mut self) {
-        let previous = self.previous.take();
-        ACTIVE_SCOPE.with(|active| *active.borrow_mut() = previous);
-    }
-}
-
-/// Records one absorbed transient condition (`Interrupted`, `WouldBlock`,
-/// or a connect retry): bumps the process total and the current thread's
-/// installed [`RetryScope`], if any.
-pub(crate) fn note_transient_retry() {
-    TRANSIENT_RETRIES.fetch_add(1, Ordering::Relaxed);
-    ACTIVE_SCOPE.with(|active| {
-        if let Some(scope) = active.borrow().as_ref() {
-            scope.fetch_add(1, Ordering::Relaxed);
+    fn count<R>(&self, result: std::io::Result<R>) -> std::io::Result<R> {
+        if let Err(error) = &result {
+            if matches!(error.kind(), ErrorKind::Interrupted | ErrorKind::WouldBlock) {
+                self.retries.fetch_add(1, Ordering::Relaxed);
+            }
         }
-    });
+        result
+    }
 }
 
-/// Transient I/O retries absorbed by this process since start. Monotone and
-/// process-global; for a per-run figure, install a [`RetryScope`] (as
-/// [`crate::DistStats::retries`] does).
-#[must_use]
-pub fn transient_retries() -> u64 {
-    TRANSIENT_RETRIES.load(Ordering::Relaxed)
+impl<T: Read> Read for CountRetries<T> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let result = self.inner.read(buf);
+        self.count(result)
+    }
+}
+
+impl<T: Write> Write for CountRetries<T> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let result = self.inner.write(buf);
+        self.count(result)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        let result = self.inner.flush();
+        self.count(result)
+    }
 }
 
 /// Whether a failed `connect` is worth retrying: the peer may simply not be
@@ -124,8 +87,7 @@ pub fn transient_retries() -> u64 {
 /// unparseable address (`InvalidInput`), an address this host cannot use
 /// (`AddrNotAvailable`), a permission failure — is permanent: retrying
 /// burns the whole backoff budget to reach the identical error.
-fn connect_error_is_transient(kind: std::io::ErrorKind) -> bool {
-    use std::io::ErrorKind;
+fn connect_error_is_transient(kind: ErrorKind) -> bool {
     matches!(
         kind,
         ErrorKind::ConnectionRefused
@@ -155,24 +117,29 @@ fn connect_error_is_transient(kind: std::io::ErrorKind) -> bool {
 /// The first non-transient connect error, or the last transient one once
 /// the attempt budget is exhausted.
 pub fn connect_with_backoff(addr: &str) -> std::io::Result<TcpStream> {
+    connect_counting_retries(addr).0
+}
+
+/// [`connect_with_backoff`], also returning how many attempts were retried.
+fn connect_counting_retries(addr: &str) -> (std::io::Result<TcpStream>, u32) {
     let mut rng = SplitMix64::new(fnv1a64(addr.as_bytes()) ^ 0x5359_5353_4341_4C45);
     let mut delay_ms = CONNECT_BASE_DELAY_MS;
     let mut last_error = None;
     for attempt in 0..CONNECT_ATTEMPTS {
         match TcpStream::connect(addr) {
-            Ok(stream) => return Ok(stream),
+            Ok(stream) => return (Ok(stream), attempt),
             Err(error) if connect_error_is_transient(error.kind()) => last_error = Some(error),
-            Err(error) => return Err(error),
+            Err(error) => return (Err(error), attempt),
         }
         if attempt + 1 < CONNECT_ATTEMPTS {
-            note_transient_retry();
             let jitter = rng.next_u64() % (delay_ms / 2 + 1);
             std::thread::sleep(Duration::from_millis(delay_ms + jitter));
             delay_ms = (delay_ms * 2).min(CONNECT_DELAY_CAP_MS);
         }
     }
-    Err(last_error
-        .unwrap_or_else(|| std::io::Error::new(std::io::ErrorKind::NotConnected, "no attempts")))
+    let error =
+        last_error.unwrap_or_else(|| std::io::Error::new(ErrorKind::NotConnected, "no attempts"));
+    (Err(error), CONNECT_ATTEMPTS - 1)
 }
 
 #[cfg(test)]
@@ -184,11 +151,9 @@ mod tests {
     fn connect_with_backoff_reaches_a_live_listener_first_try() {
         let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
         let addr = listener.local_addr().unwrap().to_string();
-        let scope = RetryScope::new();
-        let _guard = scope.enter();
-        let stream = connect_with_backoff(&addr).expect("live listener");
-        drop(stream);
-        assert_eq!(scope.count(), 0, "a live listener costs zero retries");
+        let (stream, retries) = connect_counting_retries(&addr);
+        drop(stream.expect("live listener"));
+        assert_eq!(retries, 0, "a live listener costs zero retries");
     }
 
     #[test]
@@ -202,17 +167,14 @@ mod tests {
             let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
             let addr = listener.local_addr().unwrap().to_string();
             drop(listener);
-            let scope = RetryScope::new();
-            let guard = scope.enter();
             let started = std::time::Instant::now();
-            let outcome = connect_with_backoff(&addr);
-            drop(guard);
+            let (outcome, retries) = connect_counting_retries(&addr);
             if outcome.is_ok() {
                 continue; // port re-bound under us; try another
             }
             assert_eq!(
-                scope.count(),
-                u64::from(CONNECT_ATTEMPTS - 1),
+                retries,
+                CONNECT_ATTEMPTS - 1,
                 "every failed attempt but the last must count as a retry"
             );
             // Bounded: the whole budget is well under a second of delays.
@@ -227,55 +189,48 @@ mod tests {
     fn connect_with_backoff_fails_fast_on_permanent_errors() {
         // An unparseable address can never succeed; retrying it would burn
         // the whole ~400ms backoff budget to reach the identical error.
-        let scope = RetryScope::new();
-        let _guard = scope.enter();
         let started = std::time::Instant::now();
-        let outcome = connect_with_backoff("definitely not an address");
+        let (outcome, retries) = connect_counting_retries("definitely not an address");
         assert!(outcome.is_err(), "nonsense address must fail");
-        assert_eq!(scope.count(), 0, "permanent failures must not retry");
+        assert_eq!(retries, 0, "permanent failures must not retry");
         assert!(
             started.elapsed() < Duration::from_millis(250),
             "permanent failures must not sleep through the backoff schedule"
         );
     }
 
-    #[test]
-    fn retry_scopes_attribute_retries_per_run_not_per_process() {
-        // Two interleaved "runs" (scopes) on two threads: each must see
-        // exactly its own retries while the process total sees both — the
-        // regression the process-global snapshot accounting had.
-        let scope_a = RetryScope::new();
-        let scope_b = RetryScope::new();
-        let total_before = transient_retries();
-        let barrier = std::sync::Barrier::new(2);
-        let run = |scope: &RetryScope, bumps: u64| {
-            let _guard = scope.enter();
-            for _ in 0..bumps {
-                barrier.wait();
-                note_transient_retry();
+    /// Yields one byte per read, with an `Interrupted` error before each.
+    struct InterruptEveryOtherRead {
+        reads: u64,
+    }
+
+    impl Read for InterruptEveryOtherRead {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.reads += 1;
+            if self.reads % 2 == 1 {
+                return Err(ErrorKind::Interrupted.into());
             }
-        };
-        std::thread::scope(|s| {
-            s.spawn(|| run(&scope_a, 3));
-            run(&scope_b, 3);
-        });
-        assert_eq!(scope_a.count(), 3);
-        assert_eq!(scope_b.count(), 3);
-        assert!(transient_retries() - total_before >= 6);
+            buf[0] = 0xA5;
+            Ok(1)
+        }
     }
 
     #[test]
-    fn retry_scope_guard_restores_the_previous_scope() {
-        let outer = RetryScope::new();
-        let inner = RetryScope::new();
-        let _outer_guard = outer.enter();
-        note_transient_retry();
-        {
-            let _inner_guard = inner.enter();
-            note_transient_retry();
+    fn retry_counters_attribute_retries_per_stream_not_per_thread() {
+        // Two runs' streams, read alternately on one thread: each counter
+        // sees exactly its own stream's transient errors, which the wire
+        // layer absorbs on the way to the bytes.
+        let (count_a, count_b) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
+        let mut a = CountRetries::new(InterruptEveryOtherRead { reads: 0 }, Arc::clone(&count_a));
+        let mut b = CountRetries::new(InterruptEveryOtherRead { reads: 0 }, Arc::clone(&count_b));
+        let mut byte = [0u8; 1];
+        for round in 0..5 {
+            assert_eq!(crate::wire::read_retrying(&mut a, &mut byte).unwrap(), 1);
+            if round < 2 {
+                assert_eq!(crate::wire::read_retrying(&mut b, &mut byte).unwrap(), 1);
+            }
         }
-        note_transient_retry();
-        assert_eq!(outer.count(), 2, "outer scope resumes after inner drops");
-        assert_eq!(inner.count(), 1);
+        assert_eq!(count_a.load(Ordering::Relaxed), 5);
+        assert_eq!(count_b.load(Ordering::Relaxed), 2);
     }
 }

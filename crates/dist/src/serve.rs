@@ -1,14 +1,14 @@
 //! The sweep engine as a long-running service.
 //!
 //! [`SweepService`] is a server loop that accepts many concurrent sweep
-//! submissions over the crate's framed wire protocol — in-memory duplex
-//! pipes ([`mod@crate::duplex`]) for tests, TCP for real use — and executes
-//! them against **one shared warm [`SessionPool`]** through the same
-//! [`RunConsumer`] fold core every other execution path uses. The
-//! determinism contract carries over unchanged: the record stream a client
-//! gets back for a submission is **byte-identical** to an in-process
-//! [`SweepSet::run_parallel_fold`] of the same recipe, for every
-//! interleaving of concurrent submissions.
+//! submissions over the crate's framed wire protocol on TCP — a listener
+//! ([`SweepService::listen_tcp`]) or a private loopback connection
+//! ([`SweepService::connect`]) — and executes them against **one shared
+//! warm [`SessionPool`]** through the same [`RunConsumer`] fold core every
+//! other execution path uses. The determinism contract carries over
+//! unchanged: the record stream a client gets back for a submission is
+//! **byte-identical** to an in-process [`SweepSet::run_parallel_fold`] of
+//! the same recipe, for every interleaving of concurrent submissions.
 //!
 //! ## Topology
 //!
@@ -44,10 +44,9 @@
 //! same recipe at the configured worker count, regardless of what else is
 //! in flight.
 //!
-//! Queueing delay and execution time are measured per request into
-//! [`RequestSample`]s, which [`StressMetrics::from_samples`] reduces to
-//! the llamaburn-style load summary (requests/sec, p50/p95/p99/p999
-//! latency, error rate) that [`ServeStats::metrics`] reports.
+//! Each request's queueing delay and execution time travel to its client in
+//! the [`FT_SWEEP_DONE`] frame and are kept nowhere else, so the service's
+//! memory does not grow with the number of requests it has served.
 //!
 //! ## Progress snapshots
 //!
@@ -64,7 +63,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
@@ -77,7 +76,6 @@ use sysscale::{
 use sysscale_types::SimError;
 
 use crate::codec::{get_record, get_sim_error, put_record, put_sim_error};
-use crate::duplex::duplex;
 use crate::recipe::{sweep_from_sets, SweepRecipe};
 use crate::wire::{read_frame, write_frame, Dec, Enc, WireError};
 
@@ -140,25 +138,8 @@ impl Default for ServeOptions {
     }
 }
 
-/// One request's measured life cycle, recorded by the executor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RequestSample {
-    /// Cells the submission's sweep ran.
-    pub cells: u64,
-    /// Queue depth at admission (this submission included).
-    pub queue_depth: u64,
-    /// Microseconds between admission and execution start.
-    pub queued_micros: u64,
-    /// Microseconds executing the sweep and streaming its results.
-    pub exec_micros: u64,
-    /// Microseconds between admission and completion frame.
-    pub total_micros: u64,
-    /// Whether the submission completed (vs. a `SweepError`).
-    pub ok: bool,
-}
-
-/// Shared mutable server state: counters the reader threads bump and the
-/// samples the executor appends.
+/// Shared mutable server state: counters the reader threads and the
+/// executor bump.
 #[derive(Debug, Default)]
 struct ServeShared {
     submissions: AtomicU64,
@@ -171,13 +152,6 @@ struct ServeShared {
     /// reflects actual contention, not executor pickup timing.
     queue_depth: AtomicU64,
     max_queue_depth: AtomicU64,
-    samples: Mutex<Vec<RequestSample>>,
-}
-
-impl ServeShared {
-    fn push_sample(&self, sample: RequestSample) {
-        self.samples.lock().expect("samples poisoned").push(sample);
-    }
 }
 
 /// The server half of one client connection: a writer every server thread
@@ -202,8 +176,8 @@ impl std::fmt::Debug for ClientPort {
 }
 
 /// A running sweep service. Create with [`SweepService::start`], attach
-/// clients with [`SweepService::connect`] (in-memory) /
-/// [`SweepService::listen_tcp`] (sockets), and finish with
+/// clients with [`SweepService::connect`] (one private loopback
+/// connection) / [`SweepService::listen_tcp`] (a listener), and finish with
 /// [`SweepService::shutdown`] to collect [`ServeStats`].
 pub struct SweepService {
     shared: Arc<ServeShared>,
@@ -212,7 +186,6 @@ pub struct SweepService {
     readers: Mutex<Vec<std::thread::JoinHandle<()>>>,
     acceptors: Mutex<Vec<std::thread::JoinHandle<()>>>,
     stop: Arc<AtomicBool>,
-    started: Instant,
     max_pending: u64,
 }
 
@@ -244,7 +217,6 @@ impl SweepService {
             readers: Mutex::new(Vec::new()),
             acceptors: Mutex::new(Vec::new()),
             stop: Arc::new(AtomicBool::new(false)),
-            started: Instant::now(),
             max_pending: options.max_pending.max(1),
         }
     }
@@ -265,15 +237,25 @@ impl SweepService {
         self.readers.lock().expect("readers poisoned").push(handle);
     }
 
-    /// Connects an in-memory client over a [`crate::duplex::duplex`] pair —
-    /// the test transport.
-    #[must_use]
-    pub fn connect(&self) -> ServeClient {
-        let (client_end, server_end) = duplex();
-        let (server_reader, server_writer) = server_end.split();
-        self.attach(Box::new(server_reader), Box::new(server_writer));
-        let (client_reader, client_writer) = client_end.split();
-        ServeClient::new(Box::new(client_reader), Box::new(client_writer))
+    /// Connects a client over a private loopback TCP connection: binds
+    /// `127.0.0.1:0`, connects, accepts, and attaches the server half —
+    /// the transport [`SweepService::listen_tcp`] serves, without a
+    /// listener thread.
+    ///
+    /// # Errors
+    ///
+    /// Propagates bind, connect, accept and socket-option failures.
+    pub fn connect(&self) -> std::io::Result<ServeClient> {
+        let listener = TcpListener::bind("127.0.0.1:0")?;
+        let client = TcpStream::connect(listener.local_addr()?)?;
+        let (server, _peer) = listener.accept()?;
+        client.set_nodelay(true)?;
+        server.set_nodelay(true)?;
+        self.attach(Box::new(server.try_clone()?), Box::new(server));
+        Ok(ServeClient::new(
+            Box::new(client.try_clone()?),
+            Box::new(client),
+        ))
     }
 
     /// Binds a TCP listener on `addr` (e.g. `"127.0.0.1:0"`) and spawns an
@@ -368,8 +350,6 @@ impl SweepService {
             frames_rejected: shared.frames_rejected.load(Ordering::SeqCst),
             busy_shed: shared.busy_shed.load(Ordering::SeqCst),
             max_queue_depth: shared.max_queue_depth.load(Ordering::SeqCst),
-            wall_micros: micros_since(self.started),
-            samples: shared.samples.lock().expect("samples poisoned").clone(),
             pool_workers,
             pool_cached_platforms,
         }
@@ -453,7 +433,7 @@ fn admit_submission(
     };
     // An undecodable recipe still names an addressable submission: it is
     // admitted like any other and fails in `Scheduler::admit`, with a
-    // SweepError and a request sample, instead of killing the connection.
+    // SweepError counted in `errors`, instead of killing the connection.
     let recipe = SweepRecipe::decode(&recipe_bytes).map_err(|error| SimError::InvalidConfig {
         reason: format!("undecodable sweep recipe: {error}"),
     });
@@ -476,7 +456,6 @@ fn admit_submission(
         submit_id,
         recipe,
         progress_every,
-        depth,
         Instant::now(),
         shared,
     );
@@ -530,8 +509,6 @@ struct ActiveSweep {
     /// least cost served.
     served_cost: u128,
     queued_micros: Option<u64>,
-    queue_depth: u64,
-    total_cells: u64,
     accepted: Instant,
 }
 
@@ -580,39 +557,27 @@ impl Scheduler {
     /// worker pool. Runs on the reader thread, so recipe builds for
     /// concurrent clients overlap with execution. Degenerate submissions
     /// (undecodable or unbuildable recipe, zero cells) complete right here.
-    #[allow(clippy::too_many_arguments)]
     fn admit(
         &self,
         port: Arc<ClientPort>,
         submit_id: u64,
         recipe: Result<SweepRecipe, SimError>,
         progress_every: u64,
-        queue_depth: u64,
         accepted: Instant,
         shared: &ServeShared,
     ) {
-        // Runs before the terminal frame is sent, so a client that
-        // retries on seeing it can never bounce off its own completed
-        // submission still holding a depth slot.
-        let finish_now = |ok: bool, cells: u64| {
+        // Releases the depth slot before the terminal frame is sent, so a
+        // client that retries on seeing it can never bounce off its own
+        // completed submission.
+        let finish_now = || {
             shared.queue_depth.fetch_sub(1, Ordering::SeqCst);
-            let total_micros = micros_since(accepted);
-            shared.push_sample(RequestSample {
-                cells,
-                queue_depth,
-                queued_micros: 0,
-                exec_micros: total_micros,
-                total_micros,
-                ok,
-            });
         };
-        let cells = recipe.as_ref().map_or(0, SweepRecipe::total_cells) as u64;
         let (sets, sharding) =
             match recipe.and_then(|recipe| Ok((recipe.build()?, recipe.sharding))) {
                 Ok(built) => built,
                 Err(error) => {
                     shared.errors.fetch_add(1, Ordering::SeqCst);
-                    finish_now(false, cells);
+                    finish_now();
                     let _ = port.send(FT_SWEEP_ERROR, &encode_sweep_error(submit_id, &error));
                     return;
                 }
@@ -621,7 +586,7 @@ impl Scheduler {
         let sweep = sweep_from_sets(&sets);
         let total = sweep.cells();
         if total == 0 {
-            finish_now(true, 0);
+            finish_now();
             let _ = port.send(FT_SWEEP_DONE, &encode_sweep_done(submit_id, 0, 0, 0));
             return;
         }
@@ -681,8 +646,6 @@ impl Scheduler {
             slots,
             served_cost: 0,
             queued_micros: None,
-            queue_depth,
-            total_cells: total as u64,
             accepted,
         };
         self.state
@@ -839,8 +802,8 @@ fn worker_loop(scheduler: &Scheduler, session: &mut SimSession, shared: &ServeSh
     }
 }
 
-/// Streams a finished submission's result frames and records its sample —
-/// outside the scheduler lock, so a slow client never stalls the pool.
+/// Streams a finished submission's result frames — outside the scheduler
+/// lock, so a slow client never stalls the pool.
 fn finalize_submission(entry: ActiveSweep, shared: &ServeShared) {
     let ActiveSweep {
         submit_id,
@@ -849,17 +812,13 @@ fn finalize_submission(entry: ActiveSweep, shared: &ServeShared) {
         fold,
         slots,
         queued_micros,
-        queue_depth,
-        total_cells,
         accepted,
         ..
     } = entry;
-    let queued_micros = queued_micros.unwrap_or(0);
     let error = slots
         .into_iter()
         .filter_map(|slot| slot.error)
         .min_by_key(|(flat, _)| *flat);
-    let ok = error.is_none();
     // All leases have retired: release the depth slot *before* the
     // terminal frame goes out, so a client that retries on seeing
     // `SweepDone` can never bounce off its own completed submission.
@@ -878,6 +837,7 @@ fn finalize_submission(entry: ActiveSweep, shared: &ServeShared) {
             for (flat, record) in &records {
                 let _ = port.send(FT_CELL, &encode_cell(submit_id, *flat, record));
             }
+            let queued_micros = queued_micros.unwrap_or(0);
             let exec_micros = micros_since(accepted).saturating_sub(queued_micros);
             let _ = port.send(
                 FT_SWEEP_DONE,
@@ -889,15 +849,6 @@ fn finalize_submission(entry: ActiveSweep, shared: &ServeShared) {
             let _ = port.send(FT_SWEEP_ERROR, &encode_sweep_error(submit_id, &error));
         }
     }
-    let total_micros = micros_since(accepted);
-    shared.push_sample(RequestSample {
-        cells: total_cells,
-        queue_depth,
-        queued_micros,
-        exec_micros: total_micros.saturating_sub(queued_micros),
-        total_micros,
-        ok,
-    });
 }
 
 // ---------------------------------------------------------------------------
@@ -1178,8 +1129,8 @@ impl std::fmt::Debug for ServeClient {
 }
 
 impl ServeClient {
-    /// A client over arbitrary stream halves (an in-memory duplex end, a
-    /// socket pair, …).
+    /// A client over arbitrary stream halves (a TCP stream and its
+    /// `try_clone`, …).
     #[must_use]
     pub fn new(reader: Box<dyn Read + Send>, writer: Box<dyn Write + Send>) -> Self {
         Self {
@@ -1335,11 +1286,13 @@ impl ServeClient {
 }
 
 // ---------------------------------------------------------------------------
-// Load metrics
+// Service counters
 // ---------------------------------------------------------------------------
 
-/// Everything the service measured over its lifetime, returned by
-/// [`SweepService::shutdown`].
+/// The service's lifetime counters, returned by [`SweepService::shutdown`].
+/// Per-request timing is not here: it goes to each client in its
+/// `SweepDone` frame ([`SweepOutcome::queued_micros`],
+/// [`SweepOutcome::exec_micros`]).
 #[derive(Debug, Clone)]
 pub struct ServeStats {
     /// Submissions admitted (including undecodable-recipe rejections).
@@ -1355,10 +1308,6 @@ pub struct ServeStats {
     pub busy_shed: u64,
     /// Deepest pending-submission depth observed at any admission.
     pub max_queue_depth: u64,
-    /// Service lifetime, start to shutdown.
-    pub wall_micros: u64,
-    /// Per-request life cycles, in completion order.
-    pub samples: Vec<RequestSample>,
     /// Pool worker sessions at shutdown — bounded by the configured
     /// worker count, never per-request.
     pub pool_workers: usize,
@@ -1366,147 +1315,9 @@ pub struct ServeStats {
     pub pool_cached_platforms: usize,
 }
 
-impl ServeStats {
-    /// Reduces the samples to a [`StressMetrics`] summary.
-    #[must_use]
-    pub fn metrics(&self) -> StressMetrics {
-        StressMetrics::from_samples(&self.samples, self.wall_micros)
-    }
-}
-
-/// The llamaburn-style load summary: throughput, latency percentiles,
-/// error rate.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StressMetrics {
-    /// Requests measured.
-    pub requests: u64,
-    /// Requests that failed.
-    pub errors: u64,
-    /// Completed requests per second of service wall time.
-    pub requests_per_sec: f64,
-    /// Cells folded per second of service wall time.
-    pub cells_per_sec: f64,
-    /// Median request latency (admission→completion), milliseconds.
-    pub p50_latency_ms: f64,
-    /// 95th-percentile request latency, milliseconds.
-    pub p95_latency_ms: f64,
-    /// 99th-percentile request latency, milliseconds.
-    pub p99_latency_ms: f64,
-    /// 99.9th-percentile request latency, milliseconds.
-    pub p999_latency_ms: f64,
-    /// Fraction of requests admitted while at least one other submission
-    /// was already pending or executing (0..=1) — contention sampled **at
-    /// admission**, so an idle service between bursts reads 0 even when
-    /// pickup bookkeeping lags.
-    pub queue_share: f64,
-    /// `errors / requests` (0 when no requests).
-    pub error_rate: f64,
-}
-
-impl StressMetrics {
-    /// Reduces request samples over a `wall_micros` observation window.
-    /// Percentiles are nearest-rank over total latency, so
-    /// p50 ≤ p95 ≤ p99 ≤ p999 by construction.
-    #[must_use]
-    pub fn from_samples(samples: &[RequestSample], wall_micros: u64) -> Self {
-        let requests = samples.len() as u64;
-        let errors = samples.iter().filter(|s| !s.ok).count() as u64;
-        let wall_secs = (wall_micros.max(1) as f64) / 1e6;
-        let cells: u64 = samples.iter().map(|s| s.cells).sum();
-        let mut latencies: Vec<u64> = samples.iter().map(|s| s.total_micros).collect();
-        latencies.sort_unstable();
-        let percentile = |q: f64| -> f64 {
-            if latencies.is_empty() {
-                return 0.0;
-            }
-            let rank = ((q * latencies.len() as f64).ceil() as usize).clamp(1, latencies.len());
-            latencies[rank - 1] as f64 / 1e3
-        };
-        let contended = samples.iter().filter(|s| s.queue_depth > 1).count() as u64;
-        Self {
-            requests,
-            errors,
-            requests_per_sec: requests as f64 / wall_secs,
-            cells_per_sec: cells as f64 / wall_secs,
-            p50_latency_ms: percentile(0.50),
-            p95_latency_ms: percentile(0.95),
-            p99_latency_ms: percentile(0.99),
-            p999_latency_ms: percentile(0.999),
-            queue_share: if requests == 0 {
-                0.0
-            } else {
-                contended as f64 / requests as f64
-            },
-            error_rate: if requests == 0 {
-                0.0
-            } else {
-                errors as f64 / requests as f64
-            },
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample(total_micros: u64, ok: bool) -> RequestSample {
-        RequestSample {
-            cells: 4,
-            queue_depth: 1,
-            queued_micros: total_micros / 4,
-            exec_micros: total_micros - total_micros / 4,
-            total_micros,
-            ok,
-        }
-    }
-
-    #[test]
-    fn stress_metrics_percentiles_are_monotone_and_rates_positive() {
-        let samples: Vec<RequestSample> = (1..=100).map(|i| sample(i * 1000, true)).collect();
-        let metrics = StressMetrics::from_samples(&samples, 2_000_000);
-        assert_eq!(metrics.requests, 100);
-        assert_eq!(metrics.errors, 0);
-        assert!((metrics.requests_per_sec - 50.0).abs() < 1e-9);
-        assert!(metrics.cells_per_sec > 0.0);
-        // Nearest-rank over 1..=100 ms: exact percentile values.
-        assert!((metrics.p50_latency_ms - 50.0).abs() < 1e-9);
-        assert!((metrics.p95_latency_ms - 95.0).abs() < 1e-9);
-        assert!((metrics.p99_latency_ms - 99.0).abs() < 1e-9);
-        assert!((metrics.p999_latency_ms - 100.0).abs() < 1e-9);
-        assert!(metrics.p50_latency_ms <= metrics.p95_latency_ms);
-        assert!(metrics.p95_latency_ms <= metrics.p99_latency_ms);
-        assert!(metrics.p99_latency_ms <= metrics.p999_latency_ms);
-        assert_eq!(metrics.error_rate, 0.0);
-    }
-
-    #[test]
-    fn stress_metrics_empty_samples_are_all_zeros() {
-        let metrics = StressMetrics::from_samples(&[], 1_000_000);
-        assert_eq!(metrics.requests, 0);
-        assert_eq!(metrics.p999_latency_ms, 0.0);
-        assert_eq!(metrics.error_rate, 0.0);
-    }
-
-    #[test]
-    fn queue_share_reflects_admission_contention_not_pickup_wait() {
-        // Regression: every sample waited in the queue (queued_micros > 0)
-        // but was admitted to an otherwise idle service (depth 1) — the
-        // old pickup-time accounting called this 0.77 contention; admission
-        // depth calls it what it is: zero.
-        let idle: Vec<RequestSample> = (0..9).map(|_| sample(8000, true)).collect();
-        assert!(idle.iter().all(|s| s.queued_micros > 0));
-        let metrics = StressMetrics::from_samples(&idle, 1_000_000);
-        assert_eq!(metrics.queue_share, 0.0);
-
-        // A third of the admissions saw another submission in flight.
-        let mut mixed = idle;
-        for s in mixed.iter_mut().take(3) {
-            s.queue_depth = 2;
-        }
-        let metrics = StressMetrics::from_samples(&mixed, 1_000_000);
-        assert!((metrics.queue_share - 3.0 / 9.0).abs() < 1e-9);
-    }
 
     #[test]
     fn submit_payload_round_trips_through_the_admission_decoder() {

@@ -18,14 +18,12 @@
 //! never a panic, so a corrupt or truncated stream from a dying worker is an
 //! ordinary error path. Transient I/O conditions (`Interrupted`, and
 //! `WouldBlock` up to a bounded budget) are retried inside the frame
-//! helpers and counted via [`crate::net::transient_retries`], so a
-//! momentarily-stalled socket never surfaces as a frame error.
+//! helpers, so a momentarily-stalled socket never surfaces as a frame
+//! error; a transport wrapped in `net::CountRetries` counts them.
 
 use std::fmt;
 use std::io::{Read, Write};
 use std::time::Duration;
-
-use crate::net::note_transient_retry;
 
 /// Upper bound on one frame's payload, guarding the dispatcher against a
 /// corrupt length prefix allocating unbounded memory. Generous: the largest
@@ -323,18 +321,13 @@ impl<'a> Dec<'a> {
 
 /// One `read` call with transient conditions retried: `Interrupted` always,
 /// `WouldBlock` up to [`TRANSIENT_RETRY_LIMIT`] times with a short pause.
-/// Every retry bumps the process-global counter behind
-/// [`crate::net::transient_retries`].
 pub(crate) fn read_retrying(r: &mut impl Read, buf: &mut [u8]) -> std::io::Result<usize> {
     let mut budget = TRANSIENT_RETRY_LIMIT;
     loop {
         match r.read(buf) {
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {
-                note_transient_retry();
-            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock && budget > 0 => {
                 budget -= 1;
-                note_transient_retry();
                 std::thread::sleep(TRANSIENT_RETRY_PAUSE);
             }
             other => return other,
@@ -363,12 +356,9 @@ pub(crate) fn write_all_retrying(w: &mut impl Write, mut buf: &[u8]) -> std::io:
         match w.write(buf) {
             Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
             Ok(n) => buf = &buf[n..],
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {
-                note_transient_retry();
-            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock && budget > 0 => {
                 budget -= 1;
-                note_transient_retry();
                 std::thread::sleep(TRANSIENT_RETRY_PAUSE);
             }
             Err(e) => return Err(e),
@@ -382,12 +372,9 @@ fn flush_retrying(w: &mut impl Write) -> std::io::Result<()> {
     let mut budget = TRANSIENT_RETRY_LIMIT;
     loop {
         match w.flush() {
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {
-                note_transient_retry();
-            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock && budget > 0 => {
                 budget -= 1;
-                note_transient_retry();
                 std::thread::sleep(TRANSIENT_RETRY_PAUSE);
             }
             other => return other,

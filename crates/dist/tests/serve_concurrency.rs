@@ -6,13 +6,17 @@
 //! [`SweepSet::run_parallel_fold`](sysscale::SweepSet) of the same recipe —
 //! at every configured worker count, for every interleaving — while the
 //! pool stays bounded by the worker count (no per-request session growth).
+//! Every client talks to the service over loopback TCP.
+
+use std::net::TcpStream;
+use std::time::Instant;
 
 use sysscale::{CollectRuns, RunRecord, SessionPool};
 use sysscale_dist::serve::FT_SUBMIT;
 use sysscale_dist::wire::write_frame;
 use sysscale_dist::{
-    duplex, sweep_from_sets, Enc, GovernorSpec, MatrixRecipe, PlatformSpec, ServeClient,
-    ServeError, ServeEvent, ServeOptions, SweepRecipe, SweepService, WorkloadsSpec,
+    sweep_from_sets, Enc, GovernorSpec, MatrixRecipe, PlatformSpec, ServeClient, ServeError,
+    ServeEvent, ServeOptions, SweepOutcome, SweepRecipe, SweepService, WorkloadsSpec,
 };
 use sysscale_workloads::GeneratorConfig;
 
@@ -90,7 +94,9 @@ fn interleaved_clients_get_byte_identical_results_at_every_worker_count() {
             workers,
             ..ServeOptions::default()
         });
-        let mut clients: Vec<ServeClient> = (0..CLIENTS).map(|_| service.connect()).collect();
+        let mut clients: Vec<ServeClient> = (0..CLIENTS)
+            .map(|_| service.connect().expect("connect"))
+            .collect();
 
         // Interleave the submissions: every client submits twice before
         // anyone starts collecting, so the executor sees a mixed queue of
@@ -127,11 +133,6 @@ fn interleaved_clients_get_byte_identical_results_at_every_worker_count() {
         assert_eq!(stats.errors, 0);
         assert_eq!(stats.frames_rejected, 0, "healthy path rejects nothing");
         assert!(stats.max_queue_depth >= 1);
-        let metrics = stats.metrics();
-        assert_eq!(metrics.requests, (CLIENTS * 2) as u64);
-        assert!(metrics.requests_per_sec > 0.0);
-        assert!(metrics.p50_latency_ms <= metrics.p95_latency_ms);
-        assert!(metrics.p95_latency_ms <= metrics.p99_latency_ms);
     }
 }
 
@@ -142,7 +143,7 @@ fn the_shared_pool_stays_bounded_across_many_submissions() {
         workers: WORKERS,
         ..ServeOptions::default()
     });
-    let mut client = service.connect();
+    let mut client = service.connect().expect("connect");
     let recipe = tiny_recipe(4.5);
     for _ in 0..6 {
         let outcome = client.run_sweep(&recipe, 0).expect("sweep");
@@ -173,7 +174,7 @@ fn progress_snapshots_are_monotone_and_reach_the_total() {
         workers: 2,
         ..ServeOptions::default()
     });
-    let mut client = service.connect();
+    let mut client = service.connect().expect("connect");
     let recipe = tiny_recipe(4.5);
     let total = recipe.total_cells() as u64;
     let outcome = client.run_sweep(&recipe, 1).expect("sweep");
@@ -192,7 +193,35 @@ fn progress_snapshots_are_monotone_and_reach_the_total() {
 }
 
 #[test]
-fn tcp_clients_get_the_same_bytes_as_in_memory_ones() {
+fn sweep_done_timing_fits_inside_the_client_wall_time() {
+    // `SweepDone` is the only record of a request's timing: the server's
+    // admission-to-completion time must be positive and fit inside what
+    // the client measured from submit to the frame's arrival.
+    let service = SweepService::start(&ServeOptions {
+        workers: 2,
+        ..ServeOptions::default()
+    });
+    let mut client = service.connect().expect("connect");
+    let recipe = tiny_recipe(4.5);
+    let started = Instant::now();
+    let outcome = client.run_sweep(&recipe, 0).expect("sweep");
+    let wall_micros = u64::try_from(started.elapsed().as_micros()).expect("wall time");
+    let records = outcome.result().expect("healthy sweep");
+    assert_eq!(records.len(), recipe.total_cells());
+    assert!(outcome.exec_micros > 0, "a non-empty sweep takes time");
+    assert!(
+        outcome.queued_micros + outcome.exec_micros <= wall_micros,
+        "server time {} + {} us exceeds the client's {wall_micros} us",
+        outcome.queued_micros,
+        outcome.exec_micros
+    );
+    client.close();
+    let stats = service.shutdown();
+    assert_eq!(stats.submissions, 1);
+}
+
+#[test]
+fn listening_tcp_clients_get_the_in_process_bytes() {
     let recipe = tiny_recipe(5.0);
     let expected = in_process(&recipe);
     let service = SweepService::start(&ServeOptions {
@@ -216,7 +245,7 @@ fn a_bad_recipe_fails_the_submission_not_the_connection() {
         workers: 1,
         ..ServeOptions::default()
     });
-    let mut client = service.connect();
+    let mut client = service.connect().expect("connect");
 
     // A recipe that decodes but cannot build (unknown workload): the
     // service must answer with a SweepError and keep the connection
@@ -249,19 +278,18 @@ fn a_bad_recipe_fails_the_submission_not_the_connection() {
 }
 
 #[test]
-fn an_undecodable_recipe_fails_the_submission_and_records_its_sample() {
+fn an_undecodable_recipe_fails_the_submission_and_counts_as_an_error() {
     let service = SweepService::start(&ServeOptions {
         workers: 1,
         ..ServeOptions::default()
     });
-    let (client_end, server_end) = duplex();
-    let (server_reader, server_writer) = server_end.split();
-    service.attach(Box::new(server_reader), Box::new(server_writer));
-    let (client_reader, mut client_writer) = client_end.split();
+    let addr = service.listen_tcp("127.0.0.1:0").expect("bind");
+    let client_reader = TcpStream::connect(addr).expect("connect");
+    let mut client_writer = client_reader.try_clone().expect("clone stream");
 
     // A well-formed Submit header ("SVSW" magic, layout version 1) whose
     // recipe bytes do not decode: the submission is addressable, so it
-    // must fail like an unbuildable recipe — not vanish from the metrics.
+    // must fail like an unbuildable recipe — not vanish from the counters.
     let mut enc = Enc::new();
     enc.put_u32(0x5753_5653);
     enc.put_u16(1);
@@ -279,10 +307,8 @@ fn an_undecodable_recipe_fails_the_submission_and_records_its_sample() {
     client.close();
 
     let stats = service.shutdown();
-    let metrics = stats.metrics();
     assert_eq!(stats.errors, 1);
-    assert_eq!(metrics.errors, stats.errors, "the failure must be sampled");
-    assert_eq!(metrics.requests, stats.submissions);
+    assert_eq!(stats.submissions, 1, "the failure was admitted");
     assert_eq!(stats.frames_rejected, 0, "the frame itself was well formed");
 }
 
@@ -302,9 +328,11 @@ fn mixed_load_interleavings_stay_byte_identical_at_every_worker_count() {
             workers,
             ..ServeOptions::default()
         });
-        let mut big_client = service.connect();
-        let mut small_clients: Vec<ServeClient> =
-            smalls.iter().map(|_| service.connect()).collect();
+        let mut big_client = service.connect().expect("connect big");
+        let mut small_clients: Vec<ServeClient> = smalls
+            .iter()
+            .map(|_| service.connect().expect("connect small"))
+            .collect();
 
         // Shuffle who submits when; slot 0 is the big sweep.
         let mut order: Vec<usize> = (0..=smalls.len()).collect();
@@ -356,7 +384,7 @@ fn small_sweeps_overtake_a_big_sweep_under_cost_fair_scheduling() {
         workers: 2,
         ..ServeOptions::default()
     });
-    let mut client = service.connect();
+    let mut client = service.connect().expect("connect");
     let big = population_recipe(30);
     let big_id = client.submit(&big, 0).expect("submit big");
     let a_id = client.submit(&tiny_recipe(4.5), 0).expect("submit small a");
@@ -393,7 +421,7 @@ fn admission_bound_sheds_busy_as_a_typed_retryable_error() {
         workers: 1,
         max_pending: 1,
     });
-    let mut client = service.connect();
+    let mut client = service.connect().expect("connect");
     let big = population_recipe(10);
     let small = tiny_recipe(4.5);
 
@@ -434,7 +462,8 @@ fn percentile_ms(latencies_micros: &mut [u64], q: f64) -> f64 {
 /// One mixed-load run: the big sweep, then, once it is admitted,
 /// `small_requests` sequential small sweeps on a second connection.
 /// Returns the big sweep's latency and the small sweeps' latencies, in
-/// microseconds.
+/// microseconds: each is the server's admission-to-completion time from
+/// its `SweepDone` frame.
 fn run_mixed(
     workers: usize,
     big: &SweepRecipe,
@@ -447,8 +476,8 @@ fn run_mixed(
         workers,
         ..ServeOptions::default()
     });
-    let mut big_client = service.connect();
-    let mut small_client = service.connect();
+    let mut big_client = service.connect().expect("connect big");
+    let mut small_client = service.connect().expect("connect small");
     let big_id = big_client.submit(big, 0).expect("submit big");
     // Every small sweep arrives with the big sweep holding a depth slot.
     let accepted = big_client.recv().expect("recv").expect("server alive");
@@ -456,12 +485,15 @@ fn run_mixed(
         matches!(accepted, ServeEvent::Accepted { submit_id, .. } if submit_id == big_id),
         "first frame must be the big sweep's Accepted"
     );
+    let latency = |outcome: &SweepOutcome| outcome.queued_micros + outcome.exec_micros;
+    let mut small_micros = Vec::with_capacity(small_requests);
     for _ in 0..small_requests {
         let outcome = small_client.run_sweep(small, 0).expect("small sweep");
         assert_eq!(
             outcome.result().expect("healthy small sweep"),
             small_expected
         );
+        small_micros.push(latency(&outcome));
     }
     let outcomes = big_client.collect(&[big_id]).expect("collect big");
     assert_eq!(
@@ -473,18 +505,7 @@ fn run_mixed(
     let stats = service.shutdown();
     assert_eq!(stats.errors, 0);
     assert_eq!(stats.busy_shed, 0);
-
-    let latencies = |cells: usize| {
-        stats
-            .samples
-            .iter()
-            .filter(move |s| s.cells == cells as u64)
-            .map(|s| s.total_micros)
-    };
-    let big_micros = latencies(big.total_cells()).next().expect("big sample");
-    let small_micros: Vec<u64> = latencies(small.total_cells()).collect();
-    assert_eq!(small_micros.len(), small_requests);
-    (big_micros, small_micros)
+    (latency(&outcomes[&big_id]), small_micros)
 }
 
 /// The cost-aware scheduler's headline under mixed load: the small-sweep
