@@ -7,7 +7,7 @@
 //! invocations print the same hash iff their merged results are
 //! byte-identical — which is exactly what the checkpoint/resume and
 //! wire-fault CI jobs assert across kill/resume cycles, process counts,
-//! transports, and fault-plan seeds.
+//! and fault-plan seeds.
 //!
 //! `--halt-after N` aborts the dispatcher after `N` retired leases (exit
 //! code 3, journal left behind) — a deterministic stand-in for `kill -9` on
@@ -18,12 +18,11 @@ use std::process::ExitCode;
 
 use sysscale_dist::dispatcher::PoisonFault;
 use sysscale_dist::net::fnv1a64;
-use sysscale_dist::{codec, run_distributed, DistOptions, Enc, SweepRecipe, TransportKind};
+use sysscale_dist::{codec, run_distributed, DistOptions, Enc, SweepRecipe};
 
 const USAGE: &str = "usage: sysscale-dist-fig10 [--tdps W,W,..] [--procs N] \
-                     [--transport pipes|tcp] [--journal PATH] [--halt-after N] \
-                     [--fault-plan SEED] [--poison-flat N [--poison-crash]] \
-                     [--duration SECS]";
+                     [--journal PATH] [--halt-after N] [--fault-plan SEED] \
+                     [--poison-flat N [--poison-crash]] [--duration SECS]";
 
 fn fail(message: impl std::fmt::Display) -> ExitCode {
     eprintln!("sysscale-dist-fig10: {message}");
@@ -34,7 +33,6 @@ fn fail(message: impl std::fmt::Display) -> ExitCode {
 fn main() -> ExitCode {
     let mut tdps: Vec<f64> = vec![3.5, 4.5];
     let mut procs: Option<usize> = None;
-    let mut transport = TransportKind::Pipes;
     let mut journal: Option<PathBuf> = None;
     let mut halt_after: Option<usize> = None;
     let mut fault_plan: Option<u64> = None;
@@ -59,17 +57,6 @@ fn main() -> ExitCode {
                 v.parse()
                     .map(|n| procs = Some(n))
                     .map_err(|e| format!("--procs: {e}"))
-            }),
-            "--transport" => value("--transport").and_then(|v| match v.as_str() {
-                "pipes" => {
-                    transport = TransportKind::Pipes;
-                    Ok(())
-                }
-                "tcp" => {
-                    transport = TransportKind::Tcp;
-                    Ok(())
-                }
-                other => Err(format!("--transport: unknown kind {other:?}")),
             }),
             "--journal" => value("--journal").map(|v| journal = Some(PathBuf::from(v))),
             "--halt-after" => value("--halt-after").and_then(|v| {
@@ -113,7 +100,6 @@ fn main() -> ExitCode {
     }
     let options = DistOptions {
         procs,
-        transport,
         journal,
         fault_plan,
         halt_after_leases: halt_after,

@@ -2,63 +2,28 @@
 //!
 //! Spawned by the dispatcher ([`sysscale_dist::run_distributed`]), one
 //! process per virtual worker slot. Speaks the framed protocol on
-//! stdin/stdout by default, or over TCP with `--connect <addr>` (the
-//! dispatcher picks; both carry identical frames).
+//! stdin/stdout; the opening `Job` frame carries its whole configuration.
 
 use std::process::ExitCode;
 
-use sysscale_dist::{connect_with_backoff, worker_main};
+use sysscale_dist::worker_main;
 
 fn main() -> ExitCode {
-    let mut args = std::env::args().skip(1);
-    let mut connect: Option<String> = None;
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--connect" => match args.next() {
-                Some(addr) => connect = Some(addr),
-                None => {
-                    eprintln!("sysscale-dist-worker: --connect needs an address");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--help" | "-h" => {
-                println!(
-                    "usage: sysscale-dist-worker [--connect ADDR]\n\n\
-                     Executes sweep leases for a sysscale-dist dispatcher. With no\n\
-                     arguments the framed protocol runs on stdin/stdout; with\n\
-                     --connect the worker dials the dispatcher's TCP listener and\n\
-                     speaks the same protocol over the socket."
-                );
-                return ExitCode::SUCCESS;
-            }
-            other => {
-                eprintln!("sysscale-dist-worker: unknown argument {other:?}");
-                return ExitCode::FAILURE;
-            }
+    if let Some(arg) = std::env::args().nth(1) {
+        if arg == "--help" || arg == "-h" {
+            println!(
+                "usage: sysscale-dist-worker\n\n\
+                 Executes sweep leases for a sysscale-dist dispatcher, speaking\n\
+                 the framed protocol on stdin/stdout. It takes no arguments:\n\
+                 the dispatcher's opening Job frame configures it."
+            );
+            return ExitCode::SUCCESS;
         }
+        eprintln!("sysscale-dist-worker: unknown argument {arg:?}");
+        return ExitCode::FAILURE;
     }
 
-    let outcome = match connect {
-        // Bounded exponential backoff with deterministic jitter: a worker
-        // that races the dispatcher's listener setup (or lands on a
-        // transiently refused port) retries instead of dying at birth.
-        Some(addr) => match connect_with_backoff(&addr) {
-            Ok(stream) => {
-                let read = match stream.try_clone() {
-                    Ok(read) => read,
-                    Err(error) => {
-                        eprintln!("sysscale-dist-worker: cloning stream: {error}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                worker_main(read, stream)
-            }
-            Err(error) => Err(format!("connecting to {addr}: {error}")),
-        },
-        None => worker_main(std::io::stdin().lock(), std::io::stdout().lock()),
-    };
-
-    match outcome {
+    match worker_main(std::io::stdin().lock(), std::io::stdout().lock()) {
         Ok(()) => ExitCode::SUCCESS,
         Err(message) => {
             eprintln!("sysscale-dist-worker: {message}");

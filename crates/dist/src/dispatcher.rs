@@ -38,10 +38,9 @@
 //!   ([`crate::fault::FaultPlan`]) proves every corruption mode ends in a
 //!   clean rejection+replay, never silent corruption.
 
-use std::io::{BufReader, Read, Write};
-use std::net::TcpListener;
-use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
+use std::io::{BufReader, Read};
+use std::path::{Path, PathBuf};
+use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
@@ -54,18 +53,13 @@ use sysscale_types::{SimError, SimResult};
 use crate::fault::{FaultPlan, FaultReader};
 use crate::journal::{JournalHeader, SweepJournal};
 use crate::net::CountRetries;
-use crate::proto::{LeaseIndices, Message, PipeTransport, TcpTransport, WorkerTransport};
+use crate::proto::{LeaseIndices, Message};
 use crate::recipe::{sweep_from_sets, SweepRecipe};
 use crate::wire::WireError;
-use crate::worker::{FAULT_ENV, HANG_ENV, POISON_CRASH_ENV, POISON_FLAT_ENV};
 
 /// Environment variable naming the worker binary, overriding the default
 /// next-to-the-current-executable discovery.
 pub const WORKER_ENV: &str = "SYSSCALE_DIST_WORKER";
-
-/// How long the dispatcher waits for a TCP worker to dial back before
-/// declaring the spawn failed.
-const TCP_ACCEPT_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Times a single lease may execute before the dispatcher gives up on it
 /// (first execution + re-issues after worker deaths). A death is charged to
@@ -79,21 +73,11 @@ pub const MAX_LEASE_EXECUTIONS: usize = 3;
 /// after a death more tightly but cost more protocol round-trips.
 const LEASES_PER_SLOT: usize = 4;
 
-/// The byte channel family between dispatcher and workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TransportKind {
-    /// The worker child's stdin/stdout pipes (default; no network at all).
-    #[default]
-    Pipes,
-    /// A loopback TCP socket per worker (`--connect <addr>`); same frames,
-    /// same protocol, useful as the template for off-host workers.
-    Tcp,
-}
-
 /// Deliberate worker sacrifice for fault-tolerance tests: the given slot's
 /// *first* process kills itself (SIGKILL, no cleanup) — or, with `hang`,
 /// sleeps forever with the stream open — right after streaming
-/// `after_results` result frames. Respawns of the slot run clean.
+/// `after_results` result frames. The fault travels in that process's `Job`
+/// frame; respawns of the slot run clean.
 #[derive(Debug, Clone, Copy)]
 pub struct WorkerFault {
     /// The victim slot.
@@ -109,8 +93,7 @@ pub struct WorkerFault {
 /// Deterministic always-failing-cell injection for the quarantine tests:
 /// the given flat index fails (or crashes its worker) in **every** process
 /// that executes it, respawns included — a cell that is broken for cause,
-/// not by chance. Forwarded to workers via [`POISON_FLAT_ENV`] /
-/// [`POISON_CRASH_ENV`].
+/// not by chance. Every spawn's `Job` frame carries it.
 #[derive(Debug, Clone, Copy)]
 pub struct PoisonFault {
     /// The flat index of the poisoned cell.
@@ -131,8 +114,6 @@ pub struct DistOptions {
     pub procs: Option<usize>,
     /// Cells a worker executes between heartbeats (default 8).
     pub batch_cells: usize,
-    /// Pipe or TCP framing.
-    pub transport: TransportKind,
     /// Explicit worker binary path (default: [`WORKER_ENV`], then
     /// `sysscale-dist-worker` next to the current executable).
     pub worker_binary: Option<PathBuf>,
@@ -166,7 +147,6 @@ impl Default for DistOptions {
         Self {
             procs: None,
             batch_cells: 8,
-            transport: TransportKind::default(),
             worker_binary: None,
             max_respawns: 8,
             heartbeat_timeout: None,
@@ -207,11 +187,11 @@ pub struct DistStats {
     /// Frames dropped as duplicates or stale (dedup absorption; protocol
     /// *violations* still fail the run).
     pub frames_rejected: u64,
-    /// Transient I/O errors (`Interrupted`, `WouldBlock`) the worker
-    /// transports returned during the run and the wire layer retried,
-    /// counted by one counter per run around both halves of every worker
-    /// transport — so concurrent dispatches in one process never
-    /// attribute each other's retries.
+    /// Transient I/O errors (`Interrupted`, `WouldBlock`) the worker pipes
+    /// returned during the run and the wire layer retried, counted by one
+    /// counter per run around both ends of every worker's pipes — so
+    /// concurrent dispatches in one process never attribute each other's
+    /// retries.
     pub retries: u64,
 }
 
@@ -316,7 +296,7 @@ impl<A> LeaseState<A> {
 /// A live worker process bound to one slot.
 struct WorkerSlot {
     child: Child,
-    tx: Box<dyn Write + Send>,
+    tx: CountRetries<ChildStdin>,
     generation: u64,
     alive: bool,
 }
@@ -366,158 +346,42 @@ fn worker_binary(options: &DistOptions) -> PathBuf {
     }
 }
 
-/// Spawns one worker process for `slot`, wires its transport, starts its
-/// reader thread, and sends the opening `Job` frame.
-#[allow(clippy::too_many_arguments)] // a private call site with one caller
+/// Spawns one worker process for `slot` on its stdin/stdout pipes, starts
+/// its reader thread, and sends it the opening `job` frame.
 fn spawn_worker(
-    binary: &std::path::Path,
+    binary: &Path,
     slot: usize,
     generation: u64,
-    options: &DistOptions,
-    recipe_bytes: &[u8],
-    fault: Option<WorkerFault>,
-    quarantine: bool,
+    job: &Message,
     fault_plan: Option<FaultPlan>,
     events: &Sender<Event>,
     retries: &Arc<AtomicU64>,
 ) -> SimResult<WorkerSlot> {
-    let mut command = Command::new(binary);
-    command.stderr(Stdio::inherit());
-    // Never inherit a fault directive from the environment; only a spawn
-    // the dispatcher deliberately sacrifices gets one. Poison directives,
-    // by contrast, model a cell that is broken *for cause*, so they ride
-    // on every spawn — respawns included.
-    command.env_remove(FAULT_ENV);
-    command.env_remove(HANG_ENV);
-    command.env_remove(POISON_FLAT_ENV);
-    command.env_remove(POISON_CRASH_ENV);
-    if let Some(fault) = fault {
-        command.env(FAULT_ENV, fault.after_results.to_string());
-        if fault.hang {
-            command.env(HANG_ENV, "1");
-        }
-    }
-    if let Some(poison) = options.poison {
-        command.env(POISON_FLAT_ENV, poison.flat.to_string());
-        if poison.crash {
-            command.env(POISON_CRASH_ENV, "1");
-        }
-    }
-
-    match options.transport {
-        TransportKind::Pipes => {
-            command.stdin(Stdio::piped()).stdout(Stdio::piped());
-            let mut child = command
-                .spawn()
-                .map_err(|e| dist_error(format!("spawning {}: {e}", binary.display())))?;
-            let stdin = child.stdin.take().expect("piped stdin");
-            let stdout = child.stdout.take().expect("piped stdout");
-            finish_spawn(
-                child,
-                Box::new(PipeTransport { stdin, stdout }),
-                slot,
-                generation,
-                options,
-                recipe_bytes,
-                quarantine,
-                fault_plan,
-                events,
-                retries,
-            )
-        }
-        TransportKind::Tcp => {
-            let listener = TcpListener::bind(("127.0.0.1", 0))
-                .map_err(|e| dist_error(format!("binding worker listener: {e}")))?;
-            let addr = listener
-                .local_addr()
-                .map_err(|e| dist_error(format!("listener address: {e}")))?;
-            listener
-                .set_nonblocking(true)
-                .map_err(|e| dist_error(format!("listener mode: {e}")))?;
-            command.stdin(Stdio::null()).stdout(Stdio::inherit());
-            command.arg("--connect").arg(addr.to_string());
-            let mut child = command
-                .spawn()
-                .map_err(|e| dist_error(format!("spawning {}: {e}", binary.display())))?;
-            // Spawn-then-accept, one worker at a time, keeps the
-            // connection↔slot mapping trivial: the next accepted stream is
-            // this child's.
-            let started = Instant::now();
-            let stream = loop {
-                match listener.accept() {
-                    Ok((stream, _)) => break stream,
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        if let Ok(Some(status)) = child.try_wait() {
-                            return Err(dist_error(format!(
-                                "worker exited before connecting ({status})"
-                            )));
-                        }
-                        if started.elapsed() > TCP_ACCEPT_TIMEOUT {
-                            let _ = child.kill();
-                            let _ = child.wait();
-                            return Err(dist_error("worker never dialed back"));
-                        }
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                    Err(e) => return Err(dist_error(format!("accepting worker: {e}"))),
-                }
-            };
-            stream
-                .set_nonblocking(false)
-                .map_err(|e| dist_error(format!("stream mode: {e}")))?;
-            finish_spawn(
-                child,
-                Box::new(TcpTransport { stream }),
-                slot,
-                generation,
-                options,
-                recipe_bytes,
-                quarantine,
-                fault_plan,
-                events,
-                retries,
-            )
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)] // a private call site with one caller
-fn finish_spawn(
-    child: Child,
-    transport: Box<dyn WorkerTransport>,
-    slot: usize,
-    generation: u64,
-    options: &DistOptions,
-    recipe_bytes: &[u8],
-    quarantine: bool,
-    fault_plan: Option<FaultPlan>,
-    events: &Sender<Event>,
-    retries: &Arc<AtomicU64>,
-) -> SimResult<WorkerSlot> {
-    let (read_half, tx) = transport.split();
-    // The fault injector sits between the transport and the frame parser,
+    let mut child = Command::new(binary)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::inherit())
+        .spawn()
+        .map_err(|e| dist_error(format!("spawning {}: {e}", binary.display())))?;
+    let stdin = child.stdin.take().expect("piped stdin");
+    let stdout = child.stdout.take().expect("piped stdout");
+    // The fault injector sits between the pipe and the frame parser,
     // sabotaging this connection's byte stream if the plan says so (only
     // ever on generation 0 — respawn streams run clean).
     let read_half: Box<dyn Read + Send> =
         match fault_plan.and_then(|plan| plan.connection_fault(slot, generation)) {
-            Some(wire_fault) => Box::new(FaultReader::new(read_half, wire_fault)),
-            None => read_half,
+            Some(wire_fault) => Box::new(FaultReader::new(stdout, wire_fault)),
+            None => Box::new(stdout),
         };
-    // Both halves count this run's transient I/O errors into the run's
-    // own counter, whichever thread reads or writes them.
+    // Both ends count this run's transient I/O errors into the run's own
+    // counter, whichever thread reads or writes them.
     let read_half = CountRetries::new(read_half, Arc::clone(retries));
-    let mut tx: Box<dyn Write + Send> = Box::new(CountRetries::new(tx, Arc::clone(retries)));
+    let mut tx = CountRetries::new(stdin, Arc::clone(retries));
     let events = events.clone();
     std::thread::spawn(move || read_loop(read_half, slot, generation, &events));
     // A send failure here means the worker already died; the reader's
     // Closed event drives the respawn, so don't fail the run for it.
-    let _ = Message::Job {
-        worker_slot: slot as u32,
-        batch_cells: options.batch_cells.max(1) as u32,
-        quarantine,
-        recipe: recipe_bytes.to_vec(),
-    }
-    .write_to(&mut tx);
+    let _ = job.write_to(&mut tx);
     Ok(WorkerSlot {
         child,
         tx,
@@ -802,6 +666,18 @@ fn dispatch<Q: RunConsumer>(
 
     let binary = worker_binary(options);
     let recipe_bytes = recipe.encode();
+    // Each spawn's whole configuration. Only the victim slot's first
+    // process gets the die/hang fault; poison models a cell that is broken
+    // for cause, so it rides on every spawn, respawns included.
+    let job = |fault: Option<WorkerFault>| Message::Job {
+        batch_cells: options.batch_cells.max(1) as u32,
+        quarantine,
+        fault_after: fault.map(|fault| fault.after_results),
+        fault_hangs: fault.is_some_and(|fault| fault.hang),
+        poison_flat: options.poison.map(|poison| poison.flat as u64),
+        poison_crash: options.poison.is_some_and(|poison| poison.crash),
+        recipe: recipe_bytes.clone(),
+    };
     let (events_tx, events_rx) = channel();
 
     let mut workers: Vec<Option<WorkerSlot>> = Vec::with_capacity(slots);
@@ -822,10 +698,7 @@ fn dispatch<Q: RunConsumer>(
             &binary,
             slot,
             0,
-            options,
-            &recipe_bytes,
-            fault,
-            quarantine,
+            &job(fault),
             fault_plan,
             &events_tx,
             &retries,
@@ -1214,10 +1087,7 @@ fn dispatch<Q: RunConsumer>(
                     &binary,
                     slot,
                     generation + 1,
-                    options,
-                    &recipe_bytes,
-                    None,
-                    quarantine,
+                    &job(None),
                     fault_plan,
                     &events_tx,
                     &retries,

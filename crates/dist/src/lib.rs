@@ -24,9 +24,10 @@
 //!   [`sysscale::SweepSet::slot_indices`] partition the in-process fold
 //!   core and the sweep service use) into ascending cost-sized **leases**
 //!   ([`sysscale::types::exec::cost_quantile_chunks`]), streams them to
-//!   one worker process per slot (stdin/stdout pipes, or TCP behind the
-//!   same [`proto::WorkerTransport`] trait), folds the streamed-back results
-//!   per lease, and merges lease accumulators in plan order — the exact
+//!   one worker process per slot over its stdin/stdout pipes (the opening
+//!   `Job` frame is the worker's whole configuration), folds the
+//!   streamed-back results per lease, and merges lease accumulators in plan
+//!   order — the exact
 //!   partition the in-process merge uses. A lease only retires on its
 //!   `LeaseDone` frame; when a worker dies mid-lease the partial
 //!   accumulators are discarded and exactly the unfinished leases are
@@ -48,8 +49,9 @@
 //!   ([`DistOptions::fault_plan`]) that corrupts, truncates, duplicates, or
 //!   delays chosen frames so CI can prove every corruption mode ends in a
 //!   clean CRC rejection + replay or idempotent absorption — never a hang,
-//!   panic, or silently wrong result. [`net`] adds bounded deterministic
-//!   connect backoff and per-run transient-I/O retry counting under it all.
+//!   panic, or silently wrong result. [`net`] adds per-run transient-I/O
+//!   retry counting under it all, and the bounded deterministic connect
+//!   backoff the sweep service's TCP clients dial with.
 //!
 //! ```no_run
 //! use sysscale_dist::{run_distributed, DistOptions, SweepRecipe};
@@ -74,13 +76,12 @@ pub mod worker;
 
 pub use dispatcher::{
     run_distributed, run_distributed_fold, run_distributed_partial, DistOptions, DistStats,
-    FailedCell, FailedCells, PoisonFault, TransportKind, WorkerFault, MAX_LEASE_EXECUTIONS,
-    WORKER_ENV,
+    FailedCell, FailedCells, PoisonFault, WorkerFault, MAX_LEASE_EXECUTIONS, WORKER_ENV,
 };
 pub use fault::{FaultKind, FaultPlan, FaultReader, WireFault};
 pub use journal::{JournalHeader, JournalReplay, ReplayedLease, ReplayedQuarantine, SweepJournal};
 pub use net::connect_with_backoff;
-pub use proto::{LeaseIndices, Message, PipeTransport, TcpTransport, WorkerTransport};
+pub use proto::{LeaseIndices, Message};
 pub use recipe::{
     sweep_from_sets, GovernorSpec, MatrixRecipe, PlatformSpec, SweepRecipe, WorkloadsSpec,
 };
@@ -89,4 +90,4 @@ pub use serve::{
     SweepService,
 };
 pub use wire::{Dec, Enc, WireError};
-pub use worker::{worker_main, FAULT_ENV, HANG_ENV, POISON_CRASH_ENV, POISON_FLAT_ENV};
+pub use worker::worker_main;

@@ -1,4 +1,4 @@
-//! The dispatcher↔worker message protocol and its transports.
+//! The dispatcher↔worker message protocol.
 //!
 //! Every message is one frame ([`crate::wire::write_frame`]): a type byte, a
 //! `u32` payload length, and a payload encoded with [`crate::wire`]. The
@@ -6,7 +6,7 @@
 //!
 //! | type | message       | direction          | payload |
 //! |------|---------------|--------------------|---------|
-//! | 1    | `Job`         | dispatcher → worker | magic, version, worker slot, batch cells, quarantine flag, recipe blob |
+//! | 1    | `Job`         | dispatcher → worker | magic, version, batch cells, quarantine flag, injected faults, recipe blob |
 //! | 2    | `Lease`       | dispatcher → worker | lease id, flat-index plan (stepped or explicit) |
 //! | 3    | `Result`      | worker → dispatcher | lease id, flat index, encoded [`RunRecord`] |
 //! | 4    | `LeaseDone`   | worker → dispatcher | lease id, cell count |
@@ -16,11 +16,10 @@
 //!
 //! The `Job` frame opens with a protocol magic and version so a worker
 //! binary from a different revision refuses the job instead of
-//! misinterpreting the stream.
+//! misinterpreting the stream. It is also the worker's only configuration:
+//! the faults the tests inject travel in it, not in the environment.
 
 use std::io::{Read, Write};
-use std::net::TcpStream;
-use std::process::{ChildStdin, ChildStdout};
 
 use sysscale::RunRecord;
 use sysscale_types::SimError;
@@ -40,7 +39,10 @@ pub const PROTO_MAGIC: u32 = 0x5353_4450;
 /// of exiting on the first `WorkerError`).
 /// v4: `Job` drops the in-worker thread count (a worker folds every lease
 /// on one thread; processes replace threads rather than multiplying them).
-pub const PROTO_VERSION: u16 = 4;
+/// v5: `Job` carries the spawn's injected faults (die or hang after `n`
+/// results; a poisoned flat and its crash flag) and drops the worker slot,
+/// which no worker read.
+pub const PROTO_VERSION: u16 = 5;
 
 pub(crate) const FT_JOB: u8 = 1;
 pub(crate) const FT_LEASE: u8 = 2;
@@ -175,18 +177,27 @@ impl LeaseIndices {
 /// One protocol message.
 #[derive(Debug)]
 pub enum Message {
-    /// Opens a worker's session: which virtual worker slot it serves, the
-    /// sub-batch size between heartbeats, and the encoded
+    /// Opens a worker's session: the sub-batch size between heartbeats, the
+    /// failure mode, the faults injected into this process, and the encoded
     /// [`crate::recipe::SweepRecipe`].
     Job {
-        /// The virtual worker slot this process serves.
-        worker_slot: u32,
         /// Cells per execution sub-batch (heartbeat cadence).
         batch_cells: u32,
         /// Quarantine mode: on a failing cell, re-run the batch cell by
         /// cell, report each failure as a `WorkerError`, and continue —
         /// instead of exiting after the first failure.
         quarantine: bool,
+        /// Injected worker fault ([`crate::WorkerFault`]): right after
+        /// streaming this many `Result` frames the worker dies as abruptly
+        /// as `kill -9`, or hangs if `fault_hangs` is set.
+        fault_after: Option<u64>,
+        /// With `fault_after`: hang with the stream open instead of dying.
+        fault_hangs: bool,
+        /// Injected cell fault ([`crate::PoisonFault`]): this flat fails
+        /// with a structured error in every worker that executes it.
+        poison_flat: Option<u64>,
+        /// With `poison_flat`: the cell kills its worker instead of failing.
+        poison_crash: bool,
         /// Encoded sweep recipe.
         recipe: Vec<u8>,
     },
@@ -245,16 +256,27 @@ impl Message {
         let mut enc = Enc::new();
         let frame_type = match self {
             Message::Job {
-                worker_slot,
                 batch_cells,
                 quarantine,
+                fault_after,
+                fault_hangs,
+                poison_flat,
+                poison_crash,
                 recipe,
             } => {
                 enc.put_u32(PROTO_MAGIC);
                 enc.put_u16(PROTO_VERSION);
-                enc.put_u32(*worker_slot);
                 enc.put_u32(*batch_cells);
                 enc.put_bool(*quarantine);
+                // Each fault: a presence flag, the value when present, then
+                // its mode flag.
+                for (value, flag) in [(fault_after, fault_hangs), (poison_flat, poison_crash)] {
+                    enc.put_bool(value.is_some());
+                    if let Some(value) = value {
+                        enc.put_u64(*value);
+                    }
+                    enc.put_bool(*flag);
+                }
                 enc.put_bytes(recipe);
                 FT_JOB
             }
@@ -323,10 +345,18 @@ impl Message {
                         "protocol version {version} (this build speaks {PROTO_VERSION})"
                     )));
                 }
+                let batch_cells = dec.u32()?;
+                let quarantine = dec.bool()?;
+                let fault_after = if dec.bool()? { Some(dec.u64()?) } else { None };
+                let fault_hangs = dec.bool()?;
+                let poison_flat = if dec.bool()? { Some(dec.u64()?) } else { None };
                 Message::Job {
-                    worker_slot: dec.u32()?,
-                    batch_cells: dec.u32()?,
-                    quarantine: dec.bool()?,
+                    batch_cells,
+                    quarantine,
+                    fault_after,
+                    fault_hangs,
+                    poison_flat,
+                    poison_crash: dec.bool()?,
                     recipe: dec.bytes()?.to_vec(),
                 }
             }
@@ -357,44 +387,6 @@ impl Message {
         };
         dec.finish()?;
         Ok(Some(message))
-    }
-}
-
-/// A connected byte channel to one worker process, splittable into
-/// independently-owned read and write halves (the dispatcher reads each
-/// worker on a dedicated thread while writing leases from the main thread).
-pub trait WorkerTransport: Send {
-    /// Splits into `(read half, write half)`.
-    fn split(self: Box<Self>) -> (Box<dyn Read + Send>, Box<dyn Write + Send>);
-}
-
-/// The default transport: the worker child process's stdin/stdout pipes.
-#[derive(Debug)]
-pub struct PipeTransport {
-    /// Dispatcher-held write end (the worker's stdin).
-    pub stdin: ChildStdin,
-    /// Dispatcher-held read end (the worker's stdout).
-    pub stdout: ChildStdout,
-}
-
-impl WorkerTransport for PipeTransport {
-    fn split(self: Box<Self>) -> (Box<dyn Read + Send>, Box<dyn Write + Send>) {
-        (Box::new(self.stdout), Box::new(self.stdin))
-    }
-}
-
-/// A loopback TCP transport: the same framed protocol over a socket
-/// (workers launched with `--connect <addr>`).
-#[derive(Debug)]
-pub struct TcpTransport {
-    /// The accepted worker connection.
-    pub stream: TcpStream,
-}
-
-impl WorkerTransport for TcpTransport {
-    fn split(self: Box<Self>) -> (Box<dyn Read + Send>, Box<dyn Write + Send>) {
-        let read = self.stream.try_clone().expect("clone tcp stream");
-        (Box::new(read), Box::new(self.stream))
     }
 }
 
@@ -449,16 +441,67 @@ mod tests {
     }
 
     #[test]
+    fn job_frames_round_trip_with_and_without_each_fault() {
+        let faults = [
+            (None, false, None, false),
+            (Some(5), false, None, false),
+            (Some(3), true, None, false),
+            (None, false, Some(7), false),
+            (None, false, Some(13), true),
+            (Some(u64::MAX), true, Some(0), true),
+        ];
+        for (fault_after, fault_hangs, poison_flat, poison_crash) in faults {
+            let mut stream = Vec::new();
+            Message::Job {
+                batch_cells: 16,
+                quarantine: poison_crash,
+                fault_after,
+                fault_hangs,
+                poison_flat,
+                poison_crash,
+                recipe: vec![1, 2, 3],
+            }
+            .write_to(&mut stream)
+            .unwrap();
+            let mut cursor = std::io::Cursor::new(stream);
+            match Message::read_from(&mut cursor).unwrap().unwrap() {
+                Message::Job {
+                    batch_cells,
+                    quarantine,
+                    fault_after: got_after,
+                    fault_hangs: got_hangs,
+                    poison_flat: got_flat,
+                    poison_crash: got_crash,
+                    recipe,
+                } => assert_eq!(
+                    (
+                        batch_cells,
+                        quarantine,
+                        got_after,
+                        got_hangs,
+                        got_flat,
+                        got_crash,
+                        recipe
+                    ),
+                    (
+                        16,
+                        poison_crash,
+                        fault_after,
+                        fault_hangs,
+                        poison_flat,
+                        poison_crash,
+                        vec![1, 2, 3]
+                    )
+                ),
+                other => panic!("expected Job, got {other:?}"),
+            }
+            assert!(Message::read_from(&mut cursor).unwrap().is_none());
+        }
+    }
+
+    #[test]
     fn control_messages_round_trip_over_a_stream() {
         let mut stream = Vec::new();
-        Message::Job {
-            worker_slot: 3,
-            batch_cells: 16,
-            quarantine: true,
-            recipe: vec![1, 2, 3],
-        }
-        .write_to(&mut stream)
-        .unwrap();
         Message::Lease {
             lease_id: 7,
             indices: LeaseIndices::from_flats(&[0, 2, 4]),
@@ -489,20 +532,6 @@ mod tests {
         Message::Shutdown.write_to(&mut stream).unwrap();
 
         let mut cursor = std::io::Cursor::new(stream);
-        match Message::read_from(&mut cursor).unwrap().unwrap() {
-            Message::Job {
-                worker_slot,
-                batch_cells,
-                quarantine,
-                recipe,
-            } => {
-                assert_eq!(
-                    (worker_slot, batch_cells, quarantine, recipe),
-                    (3, 16, true, vec![1, 2, 3])
-                );
-            }
-            other => panic!("expected Job, got {other:?}"),
-        }
         match Message::read_from(&mut cursor).unwrap().unwrap() {
             Message::Lease { lease_id, indices } => {
                 assert_eq!(lease_id, 7);
@@ -554,10 +583,10 @@ mod tests {
         // drifted-but-honest peer, not wire corruption).
         let mut enc = Enc::new();
         enc.put_u32(PROTO_MAGIC);
-        enc.put_u16(PROTO_VERSION - 1);
-        enc.put_u32(0); // worker_slot
-        enc.put_u32(1); // threads (v3 only)
+        enc.put_u16(4);
+        enc.put_u32(0); // worker_slot (v4 only)
         enc.put_u32(1); // batch_cells
+        enc.put_bool(false); // quarantine
         enc.put_bytes(&[]); // recipe
         let mut stream = Vec::new();
         write_frame(&mut stream, FT_JOB, &enc.into_bytes()).unwrap();
@@ -570,9 +599,12 @@ mod tests {
     fn corrupted_job_frames_fail_the_crc_before_parsing() {
         let mut stream = Vec::new();
         Message::Job {
-            worker_slot: 0,
             batch_cells: 1,
             quarantine: false,
+            fault_after: None,
+            fault_hangs: false,
+            poison_flat: None,
+            poison_crash: false,
             recipe: Vec::new(),
         }
         .write_to(&mut stream)

@@ -234,7 +234,7 @@ impl SweepService {
         let handle = std::thread::spawn(move || {
             client_loop(reader, &port, &scheduler, &shared, max_pending);
         });
-        self.readers.lock().expect("readers poisoned").push(handle);
+        push_reader(&mut self.readers.lock().expect("readers poisoned"), handle);
     }
 
     /// Connects a client over a private loopback TCP connection: binds
@@ -273,10 +273,8 @@ impl SweepService {
         let shared = Arc::clone(&self.shared);
         let max_pending = self.max_pending;
         let scheduler = Arc::clone(&self.scheduler);
-        let readers: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> =
-            Arc::new(Mutex::new(Vec::new()));
-        let acceptor_readers = Arc::clone(&readers);
         let handle = std::thread::spawn(move || {
+            let mut readers = Vec::new();
             while !stop.load(Ordering::SeqCst) {
                 match listener.accept() {
                     Ok((stream, _peer)) => {
@@ -292,10 +290,7 @@ impl SweepService {
                         let reader = std::thread::spawn(move || {
                             client_loop(Box::new(stream), &port, &scheduler, &shared, max_pending);
                         });
-                        acceptor_readers
-                            .lock()
-                            .expect("tcp readers poisoned")
-                            .push(reader);
+                        push_reader(&mut readers, reader);
                     }
                     Err(error) if error.kind() == std::io::ErrorKind::WouldBlock => {
                         std::thread::sleep(std::time::Duration::from_millis(5));
@@ -304,11 +299,7 @@ impl SweepService {
                 }
             }
             // Orderly drain: connected clients finish their streams.
-            for reader in acceptor_readers
-                .lock()
-                .expect("tcp readers poisoned")
-                .drain(..)
-            {
+            for reader in readers {
                 let _ = reader.join();
             }
         });
@@ -354,6 +345,17 @@ impl SweepService {
             pool_cached_platforms,
         }
     }
+}
+
+/// Keeps a new reader thread's handle, first dropping the handles of
+/// readers that have already exited: a long-lived service holds one handle
+/// per live connection, not one per connection it ever accepted.
+fn push_reader(
+    readers: &mut Vec<std::thread::JoinHandle<()>>,
+    handle: std::thread::JoinHandle<()>,
+) {
+    readers.retain(|reader| !reader.is_finished());
+    readers.push(handle);
 }
 
 /// Saturating microseconds since `instant`.
@@ -1318,6 +1320,29 @@ pub struct ServeStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn exited_reader_threads_are_dropped_when_a_new_one_is_kept() {
+        let mut readers = Vec::new();
+        for _ in 0..4 {
+            let finished = std::thread::spawn(|| {});
+            while !finished.is_finished() {
+                std::thread::yield_now();
+            }
+            push_reader(&mut readers, finished);
+        }
+        let (release, blocked_on) = std::sync::mpsc::channel::<()>();
+        push_reader(
+            &mut readers,
+            std::thread::spawn(move || {
+                let _ = blocked_on.recv();
+            }),
+        );
+        assert_eq!(readers.len(), 1, "only the live reader's handle remains");
+        assert!(!readers[0].is_finished());
+        drop(release);
+        readers.pop().unwrap().join().unwrap();
+    }
 
     #[test]
     fn submit_payload_round_trips_through_the_admission_decoder() {

@@ -1,13 +1,14 @@
 //! The worker half of the distributed executor.
 //!
-//! A worker process speaks the [`crate::proto`] protocol over an arbitrary
-//! byte channel (stdin/stdout pipes by default, a TCP socket with
-//! `--connect`): it receives one `Job` frame naming its worker slot and
-//! carrying the encoded sweep recipe, rebuilds the sweep locally, then
-//! executes each granted `Lease` against a warm [`SessionPool`] — streaming
-//! every finished cell back as a `Result` frame in ascending flat order,
-//! a `Heartbeat` after each sub-batch, and a `LeaseDone` once the lease is
-//! exhausted. `Shutdown` (or clean EOF) ends the session.
+//! A worker process speaks the [`crate::proto`] protocol on its
+//! stdin/stdout pipes: it receives one `Job` frame carrying the encoded
+//! sweep recipe and its whole configuration (heartbeat batch size,
+//! quarantine mode, and any injected test fault), rebuilds the sweep
+//! locally, then executes each granted `Lease` against a warm
+//! [`SessionPool`] — streaming every finished cell back as a `Result` frame
+//! in ascending flat order, a `Heartbeat` after each sub-batch, and a
+//! `LeaseDone` once the lease is exhausted. `Shutdown` (or clean EOF) ends
+//! the session. The worker reads no environment variable.
 
 use std::io::{BufReader, BufWriter, Read, Write};
 
@@ -15,34 +16,6 @@ use sysscale::{RunRecord, SessionPool};
 
 use crate::proto::{LeaseIndices, Message};
 use crate::recipe::{sweep_from_sets, SweepRecipe};
-
-/// Fault-injection hook for the dispatcher's re-issue tests: when set to
-/// `n`, the worker kills itself — hard, no cleanup — right after streaming
-/// its `n`-th `Result` frame. The dispatcher sets this only on deliberately
-/// sacrificed processes and never on respawns.
-pub const FAULT_ENV: &str = "SYSSCALE_DIST_FAULT_AFTER";
-
-/// Companion to [`FAULT_ENV`] for the heartbeat-watchdog tests: when set
-/// (any non-empty value) alongside [`FAULT_ENV`]`=n`, the worker *hangs*
-/// after its `n`-th `Result` frame — process alive, stream open, no further
-/// frames — instead of dying. Only the dispatcher's heartbeat timeout can
-/// recover from this shape of failure.
-pub const HANG_ENV: &str = "SYSSCALE_DIST_FAULT_HANG";
-
-/// Poison-injection hook for the quarantine tests: when set to a flat cell
-/// index, that cell deterministically *fails* (a structured
-/// `InvalidConfig`) in every worker that would execute it — the
-/// "always-failing cell" the quarantine machinery must isolate. The
-/// dispatcher forwards this to every spawn, respawns included, mirroring a
-/// cell that fails for cause rather than by chance.
-pub const POISON_FLAT_ENV: &str = "SYSSCALE_DIST_POISON_FLAT";
-
-/// Companion to [`POISON_FLAT_ENV`]: when set (any non-empty value), the
-/// poisoned cell *kills the worker outright* (no `WorkerError` frame,
-/// `kill -9` semantics) instead of failing cleanly — the failure shape
-/// that forces the dispatcher to bisect the lease down to the offending
-/// cell.
-pub const POISON_CRASH_ENV: &str = "SYSSCALE_DIST_POISON_CRASH";
 
 /// The structured error a poisoned cell fails with (also what the
 /// dispatcher's manifest ends up holding for it).
@@ -62,9 +35,9 @@ fn die_hard() -> ! {
     std::process::abort();
 }
 
-/// Hangs forever without closing the transport — the "stuck but alive"
-/// failure mode ([`HANG_ENV`]): the dispatcher's reader thread sees no EOF,
-/// so only the heartbeat watchdog notices.
+/// Hangs forever without closing the stream — the "stuck but alive"
+/// failure mode (a `Job` with `fault_hangs`): the dispatcher's reader
+/// thread sees no EOF, so only the heartbeat watchdog notices.
 fn hang_forever() -> ! {
     loop {
         std::thread::sleep(std::time::Duration::from_secs(3600));
@@ -105,27 +78,26 @@ pub fn worker_main(rx: impl Read, tx: impl Write) -> Result<(), String> {
     let mut rx = BufReader::new(rx);
     let mut tx = BufWriter::new(tx);
 
-    let fault_after: Option<u64> = std::env::var(FAULT_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse().ok());
-    let fault_hangs = std::env::var(HANG_ENV).is_ok_and(|v| !v.trim().is_empty());
-    let poison_flat: Option<usize> = std::env::var(POISON_FLAT_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse().ok());
-    let poison_crash = std::env::var(POISON_CRASH_ENV).is_ok_and(|v| !v.trim().is_empty());
-
     // The session opens with exactly one Job frame.
-    let (batch_cells, quarantine, recipe_bytes) = match Message::read_from(&mut rx) {
-        Ok(Some(Message::Job {
-            batch_cells,
-            quarantine,
-            recipe,
-            ..
-        })) => (batch_cells.max(1) as usize, quarantine, recipe),
-        Ok(Some(other)) => return Err(format!("expected Job frame, got {other:?}")),
-        Ok(None) => return Err("stream closed before Job frame".to_string()),
-        Err(error) => return Err(format!("reading Job frame: {error}")),
+    let job = Message::read_from(&mut rx);
+    let Ok(Some(Message::Job {
+        batch_cells,
+        quarantine,
+        fault_after,
+        fault_hangs,
+        poison_flat,
+        poison_crash,
+        recipe: recipe_bytes,
+    })) = job
+    else {
+        return Err(match job {
+            Ok(Some(other)) => format!("expected Job frame, got {other:?}"),
+            Ok(None) => "stream closed before Job frame".to_string(),
+            Err(error) => format!("reading Job frame: {error}"),
+        });
     };
+    let batch_cells = batch_cells.max(1) as usize;
+    let poison_flat = poison_flat.map(|flat| flat as usize);
 
     let recipe = SweepRecipe::decode(&recipe_bytes).map_err(|e| format!("decoding recipe: {e}"))?;
     let sets = recipe
@@ -145,8 +117,8 @@ pub fn worker_main(rx: impl Read, tx: impl Write) -> Result<(), String> {
             None => sweep.run_flat_indices(pool, 1, cells),
         };
     // Streams finished cells as `Result` frames — the one path every
-    // result takes, so the `FAULT_ENV` hang/die hook fires on the n-th
-    // frame whichever branch produced it.
+    // result takes, so the `Job`'s die/hang fault fires on the n-th frame
+    // whichever branch produced it.
     let mut results_sent = 0u64;
     let mut stream_results = |tx: &mut BufWriter<_>,
                               lease_id: u64,
@@ -287,9 +259,12 @@ mod tests {
 
         let mut input = Vec::new();
         Message::Job {
-            worker_slot: 0,
             batch_cells: 2,
             quarantine: false,
+            fault_after: None,
+            fault_hangs: false,
+            poison_flat: None,
+            poison_crash: false,
             recipe: recipe.encode(),
         }
         .write_to(&mut input)
@@ -332,9 +307,12 @@ mod tests {
         let total = recipe.total_cells();
         let mut job = Vec::new();
         Message::Job {
-            worker_slot: 0,
             batch_cells: 4,
             quarantine: false,
+            fault_after: None,
+            fault_hangs: false,
+            poison_flat: None,
+            poison_crash: false,
             recipe: recipe.encode(),
         }
         .write_to(&mut job)

@@ -28,9 +28,12 @@ fn corpus_stream() -> Vec<u8> {
     let mut stream = Vec::new();
     for message in [
         Message::Job {
-            worker_slot: 3,
             batch_cells: 8,
             quarantine: true,
+            fault_after: Some(5),
+            fault_hangs: true,
+            poison_flat: Some(13),
+            poison_crash: true,
             recipe: vec![1, 2, 3, 4, 5, 6, 7, 8],
         },
         Message::Lease {

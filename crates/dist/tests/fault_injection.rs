@@ -3,7 +3,7 @@
 //! Two contracts under test:
 //!
 //! * **wire hardening** — under every deterministic fault plan
-//!   ([`sysscale_dist::FaultPlan`] seeds × transports), the sweep still
+//!   ([`sysscale_dist::FaultPlan`] seeds), the sweep still
 //!   completes and its results are byte-identical to the in-process
 //!   reference: corrupting faults end in CRC/framing rejection + lease
 //!   replay, duplicated `Result` frames are absorbed idempotently, delays
@@ -20,7 +20,7 @@ use sysscale::{RunSet, SessionPool};
 use sysscale_dist::dispatcher::PoisonFault;
 use sysscale_dist::{
     run_distributed, run_distributed_partial, sweep_from_sets, DistOptions, GovernorSpec,
-    MatrixRecipe, PlatformSpec, SweepRecipe, TransportKind, WorkloadsSpec,
+    MatrixRecipe, PlatformSpec, SweepRecipe, WorkloadsSpec,
 };
 
 fn worker_binary() -> PathBuf {
@@ -77,7 +77,7 @@ fn every_fault_plan_seed_still_yields_byte_identical_results() {
     let expected = in_process(&recipe);
 
     // Each (seed, slot) pair draws its own (ordinal, kind); sweeping seeds
-    // over both transports covers every FaultKind at several positions.
+    // covers every FaultKind at several positions.
     for seed in [1, 2, 3, 4, 5, 6] {
         let mut opts = options(2);
         opts.fault_plan = Some(seed);
@@ -96,20 +96,6 @@ fn every_fault_plan_seed_still_yields_byte_identical_results() {
                  *something* (replay a torn connection or absorb a duplicate)"
             );
         }
-    }
-}
-
-#[test]
-fn fault_plans_are_byte_identical_over_tcp_too() {
-    let recipe = small_recipe();
-    let expected = in_process(&recipe);
-    for seed in [1, 4] {
-        let mut opts = options(2);
-        opts.transport = TransportKind::Tcp;
-        opts.fault_plan = Some(seed);
-        let (got, _) = run_distributed(&recipe, &opts)
-            .unwrap_or_else(|e| panic!("faulted TCP run (seed {seed}) must succeed: {e}"));
-        assert_eq!(got, expected, "seed {seed} over TCP");
     }
 }
 

@@ -2,15 +2,18 @@
 //!
 //! The contract under test: [`run_distributed`] / [`run_distributed_fold`]
 //! are **bit-identical** to the in-process sweep executor on the same
-//! recipe — at every process count, over both transports, and with a worker
-//! process SIGKILLed mid-sweep and its leases replayed.
+//! recipe — at every process count, and with a worker process SIGKILLed
+//! (or hung) mid-sweep and its leases replayed. Workers are configured by
+//! their `Job` frame alone, never by their environment.
 
+use std::io::BufReader;
 use std::path::PathBuf;
+use std::process::{Command, Stdio};
 
 use sysscale::{CellId, RunConsumer, RunRecord, RunSet, SessionPool};
 use sysscale_dist::{
     run_distributed, run_distributed_fold, sweep_from_sets, DistOptions, DistStats, GovernorSpec,
-    MatrixRecipe, PlatformSpec, SweepRecipe, TransportKind, WorkerFault, WorkloadsSpec,
+    LeaseIndices, MatrixRecipe, Message, PlatformSpec, SweepRecipe, WorkerFault, WorkloadsSpec,
 };
 
 /// The worker binary cargo built alongside this test.
@@ -141,21 +144,59 @@ fn distributed_fold_replays_the_exact_in_process_partition_order() {
     }
 }
 
+/// The worker reads no environment variable: the die-after-one-result and
+/// poisoned-flat directives earlier workers took from their environment
+/// change nothing, and a clean `Job` runs the whole sweep and exits 0.
 #[test]
-fn tcp_transport_is_byte_identical_to_pipes() {
+fn a_worker_ignores_fault_directives_in_its_environment() {
     let recipe = small_recipe();
-    let cells = recipe.total_cells() as u64;
-    let (over_pipes, _) = run_distributed(&recipe, &options(2)).expect("pipe run");
-    let (over_tcp, stats) = run_distributed(
-        &recipe,
-        &DistOptions {
-            transport: TransportKind::Tcp,
-            ..options(2)
+    let flats: Vec<usize> = (0..recipe.total_cells()).collect();
+    let mut child = Command::new(worker_binary())
+        .env("SYSSCALE_DIST_FAULT_AFTER", "1")
+        .env("SYSSCALE_DIST_POISON_FLAT", "0")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawn worker");
+    let mut stdin = child.stdin.take().expect("piped stdin");
+    for message in [
+        Message::Job {
+            batch_cells: 8,
+            quarantine: false,
+            fault_after: None,
+            fault_hangs: false,
+            poison_flat: None,
+            poison_crash: false,
+            recipe: recipe.encode(),
         },
-    )
-    .expect("tcp run");
-    assert_eq!(over_tcp, over_pipes, "transport must not affect results");
-    assert_clean(&stats, cells);
+        Message::Lease {
+            lease_id: 0,
+            indices: LeaseIndices::from_flats(&flats),
+        },
+        Message::Shutdown,
+    ] {
+        message.write_to(&mut stdin).expect("send frame");
+    }
+    drop(stdin);
+
+    let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+    let mut results = Vec::new();
+    let mut lease_done = None;
+    while let Some(message) = Message::read_from(&mut stdout).expect("well-formed frame") {
+        match message {
+            Message::Result { lease_id, flat, .. } => {
+                assert_eq!(lease_id, 0);
+                results.push(flat as usize);
+            }
+            Message::LeaseDone { lease_id, cells } => lease_done = Some((lease_id, cells)),
+            Message::Heartbeat { .. } => {}
+            other => panic!("unexpected worker frame: {other:?}"),
+        }
+    }
+    let status = child.wait().expect("reap worker");
+    assert_eq!(results, flats, "every cell streams, in ascending order");
+    assert_eq!(lease_done, Some((0, flats.len() as u64)));
+    assert!(status.success(), "clean exit, got {status}");
 }
 
 /// The headline fault-tolerance property (fig. 10 sweep shape): four worker
